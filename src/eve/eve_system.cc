@@ -828,15 +828,18 @@ Result<uint64_t> EveSystem::RollbackToVersion(uint64_t version) {
   Status deferred = Failpoints::Instance().Hit(fp::kRollbackAfterJournal);
   // Surviving views keep their history: SaveViews does not persist it, so
   // the restored pool alone would come back blank. The live map is the
-  // deterministic source — replay rebuilds the same histories.
+  // deterministic source — replay rebuilds the same histories. They are
+  // moved out, not copied: views_ is replaced on the next line.
   std::map<std::string, std::vector<std::string>> histories;
-  for (const auto& [name, view] : views_) histories[name] = view.history;
+  for (auto& [name, view] : views_) {
+    histories.emplace(name, std::move(view.history));
+  }
   mkb_tip_ = pinned.mkb;
   views_ = std::move(loader.views_);
   RebuildViewIndex();
   for (auto& [name, view] : views_) {
     const auto it = histories.find(name);
-    if (it != histories.end()) view.history = it->second;
+    if (it != histories.end()) view.history = std::move(it->second);
     view.history.push_back("rolled back to version " +
                            std::to_string(version));
   }

@@ -11,39 +11,6 @@
 
 namespace eve {
 
-namespace {
-
-// Union-find over relation names.
-class UnionFind {
- public:
-  void Add(const std::string& x) { parent_.emplace(x, x); }
-  std::string Find(const std::string& x) {
-    std::string root = x;
-    while (parent_.at(root) != root) root = parent_.at(root);
-    // Path compression.
-    std::string cur = x;
-    while (parent_.at(cur) != root) {
-      std::string next = parent_.at(cur);
-      parent_[cur] = root;
-      cur = next;
-    }
-    return root;
-  }
-  // Returns true if a merge happened (they were separate).
-  bool Unite(const std::string& a, const std::string& b) {
-    const std::string ra = Find(a);
-    const std::string rb = Find(b);
-    if (ra == rb) return false;
-    parent_[ra] = rb;
-    return true;
-  }
-
- private:
-  std::unordered_map<std::string, std::string> parent_;
-};
-
-}  // namespace
-
 std::string JoinTree::ToString() const {
   if (relations.empty()) return "(empty)";
   std::ostringstream os;
@@ -217,46 +184,57 @@ std::vector<JoinTree> JoinGraph::FindConnectingTrees(
 }
 
 JoinTreeEnumerator::JoinTreeEnumerator(
-    const JoinGraph& graph, std::set<std::string> required,
+    const JoinGraph& graph, const std::set<std::string>& required,
     std::vector<JoinConstraint> mandatory_edges,
     const JoinTreeSearchOptions& options)
     : graph_(&graph),
-      required_(std::move(required)),
       mandatory_edges_(std::move(mandatory_edges)),
       token_(options.token) {
-  if (required_.empty()) return;  // frontier stays empty: exhausted
-  for (const std::string& rel : required_) {
-    if (graph_->IndexOf(rel) == JoinGraph::kNpos) return;  // relation gone
+  if (required.empty()) return;  // frontier stays empty: exhausted
+  // `required` is name-sorted, so its indices come out ascending.
+  RelationSet seed;
+  seed.reserve(required.size());
+  for (const std::string& rel : required) {
+    const size_t index = graph_->IndexOf(rel);
+    if (index == JoinGraph::kNpos) return;  // relation gone
+    seed.push_back(static_cast<uint32_t>(index));
   }
   // Fail fast on unreachable requests: a spanning tree can only exist
   // inside one connected component, so there is no point growing sets.
-  const std::string& first = *required_.begin();
-  for (const std::string& rel : required_) {
-    if (!graph_->SameComponent(first, rel)) return;
+  const size_t component = graph_->component_id_[seed.front()];
+  for (const uint32_t rel : seed) {
+    if (graph_->component_id_[rel] != component) return;
   }
   for (const JoinConstraint& edge : mandatory_edges_) {
-    if (required_.count(edge.lhs) == 0 || required_.count(edge.rhs) == 0) {
+    const size_t lhs = graph_->IndexOf(edge.lhs);
+    const size_t rhs = graph_->IndexOf(edge.rhs);
+    if (lhs == JoinGraph::kNpos || rhs == JoinGraph::kNpos ||
+        !std::binary_search(seed.begin(), seed.end(), lhs) ||
+        !std::binary_search(seed.begin(), seed.end(), rhs)) {
       return;  // mandatory edge endpoint outside the required set
     }
+    mandatory_endpoints_.emplace_back(static_cast<uint32_t>(lhs),
+                                      static_cast<uint32_t>(rhs));
   }
-  for (const JoinConstraint& edge : mandatory_edges_) {
-    mandatory_ids_.insert(edge.id);
+  if (!mandatory_edges_.empty()) {
+    const std::vector<JoinConstraint>& edges = graph_->Edges();
+    edge_mandatory_.assign(edges.size(), false);
+    for (size_t i = 0; i < edges.size(); ++i) {
+      for (const JoinConstraint& edge : mandatory_edges_) {
+        if (edges[i].id == edge.id) edge_mandatory_[i] = true;
+      }
+    }
   }
-  max_relations_ = required_.size() + options.max_extra_relations;
+  max_relations_ = seed.size() + options.max_extra_relations;
 
   // Static size floor: a connecting tree contains a path between every
   // pair of required relations, so its relation count is at least the
   // largest pairwise BFS distance plus one. The uniform-cost frontier
-  // starts at |required_| no matter how far apart the required relations
+  // starts at |required| no matter how far apart the required relations
   // lie; this floor is visible through NextTreeSizeLowerBound() before
   // any set is expanded.
-  min_tree_size_ = required_.size();
-  std::vector<size_t> targets;
-  targets.reserve(required_.size());
-  for (const std::string& rel : required_) {
-    targets.push_back(graph_->IndexOf(rel));
-  }
-  for (const size_t source : targets) {
+  min_tree_size_ = seed.size();
+  for (const uint32_t source : seed) {
     std::vector<size_t> dist(graph_->relations_.size(), JoinGraph::kNpos);
     std::deque<size_t> queue{source};
     dist[source] = 0;
@@ -271,47 +249,108 @@ JoinTreeEnumerator::JoinTreeEnumerator(
         queue.push_back(other);
       }
     }
-    for (const size_t target : targets) {
+    for (const uint32_t target : seed) {
       min_tree_size_ = std::max(min_tree_size_, dist[target] + 1);
     }
   }
 
-  std::vector<std::string> seed(required_.begin(), required_.end());
-  visited_.insert(seed);
-  frontier_.insert(std::move(seed));
+  slot_.assign(graph_->relations_.size(), kAbsent);
+  frontier_.push_back(&*visited_.insert(std::move(seed)).first);
 }
 
-// Attempts to assemble a spanning tree over `chosen` (sorted): mandatory
-// edges first, then any JC between chosen relations that merges
-// components.
-std::optional<JoinTree> JoinTreeEnumerator::TryBuildTree(
-    const std::vector<std::string>& chosen) const {
-  UnionFind uf;
-  for (const std::string& rel : chosen) uf.Add(rel);
-  JoinTree tree;
-  tree.relations = chosen;
-  for (const JoinConstraint& edge : mandatory_edges_) {
-    uf.Unite(edge.lhs, edge.rhs);
-    tree.edges.push_back(edge);
+size_t JoinTreeEnumerator::RelationSetHash::operator()(
+    const RelationSet& set) const {
+  uint64_t hash = set.size();
+  for (const uint32_t rel : set) {
+    hash = (hash ^ rel) * 0x9e3779b97f4a7c15ULL;
+    hash ^= hash >> 32;
   }
-  for (const std::string& rel : chosen) {
-    const size_t rel_idx = graph_->IndexOf(rel);
-    if (rel_idx == JoinGraph::kNpos) continue;  // isolated relation
-    for (const size_t edge_index : graph_->IncidentEdges(rel_idx)) {
-      const JoinConstraint& jc = graph_->Edges()[edge_index];
-      if (!std::binary_search(chosen.begin(), chosen.end(), jc.Other(rel))) {
-        continue;
-      }
+  return static_cast<size_t>(hash);
+}
+
+uint32_t JoinTreeEnumerator::Find(uint32_t position) {
+  while (parent_[position] != position) {
+    parent_[position] = parent_[parent_[position]];  // path halving
+    position = parent_[position];
+  }
+  return position;
+}
+
+// Only whether two positions end up joined matters (it decides which edges
+// are taken), so any union-find yields the same edges in the same order.
+bool JoinTreeEnumerator::Connects(const RelationSet& chosen) {
+  const uint32_t size = static_cast<uint32_t>(chosen.size());
+  parent_.resize(size);
+  for (uint32_t i = 0; i < size; ++i) parent_[i] = i;
+  uint32_t components = size;
+  const auto unite = [&](uint32_t a, uint32_t b) {
+    a = Find(a);
+    b = Find(b);
+    if (a == b) return false;
+    parent_[a] = b;
+    --components;
+    return true;
+  };
+  for (const auto& [lhs, rhs] : mandatory_endpoints_) {
+    unite(slot_[lhs], slot_[rhs]);
+  }
+  tree_edges_.clear();
+  for (uint32_t position = 0; position < size && components > 1;
+       ++position) {
+    const uint32_t rel = chosen[position];
+    for (const size_t edge_index : graph_->IncidentEdges(rel)) {
+      const auto [lhs, rhs] = graph_->endpoints_[edge_index];
+      const uint32_t other_slot = slot_[lhs == rel ? rhs : lhs];
+      if (other_slot == kAbsent) continue;
       // Skip a JC already included as mandatory.
-      if (mandatory_ids_.count(jc.id) > 0) continue;
-      if (uf.Unite(jc.lhs, jc.rhs)) tree.edges.push_back(jc);
+      if (!edge_mandatory_.empty() && edge_mandatory_[edge_index]) continue;
+      if (unite(position, other_slot)) tree_edges_.push_back(edge_index);
     }
   }
-  const std::string root = uf.Find(chosen.front());
-  for (const std::string& rel : chosen) {
-    if (uf.Find(rel) != root) return std::nullopt;
+  return components == 1;
+}
+
+JoinTree JoinTreeEnumerator::MakeTree(const RelationSet& chosen) const {
+  JoinTree tree;
+  tree.relations.reserve(chosen.size());
+  for (const uint32_t rel : chosen) {
+    tree.relations.push_back(graph_->relations_[rel]);
+  }
+  tree.edges.reserve(mandatory_edges_.size() + tree_edges_.size());
+  tree.edges.insert(tree.edges.end(), mandatory_edges_.begin(),
+                    mandatory_edges_.end());
+  for (const size_t edge_index : tree_edges_) {
+    tree.edges.push_back(graph_->Edges()[edge_index]);
   }
   return tree;
+}
+
+void JoinTreeEnumerator::Grow(const RelationSet& chosen) {
+  // Grow by any relation adjacent to the current set.
+  neighbors_.clear();
+  for (const uint32_t rel : chosen) {
+    for (const size_t edge_index : graph_->IncidentEdges(rel)) {
+      const auto [lhs, rhs] = graph_->endpoints_[edge_index];
+      const uint32_t other = static_cast<uint32_t>(lhs == rel ? rhs : lhs);
+      if (slot_[other] != kAbsent) continue;  // member or already seen
+      slot_[other] = kNeighbor;
+      neighbors_.push_back(other);
+    }
+  }
+  for (const uint32_t neighbor : neighbors_) {
+    slot_[neighbor] = kAbsent;
+    RelationSet next;
+    next.reserve(chosen.size() + 1);
+    const auto pos = std::lower_bound(chosen.begin(), chosen.end(), neighbor);
+    next.insert(next.end(), chosen.begin(), pos);
+    next.push_back(neighbor);
+    next.insert(next.end(), pos, chosen.end());
+    const auto [it, inserted] = visited_.insert(std::move(next));
+    if (inserted) {
+      frontier_.push_back(&*it);
+      std::push_heap(frontier_.begin(), frontier_.end(), SizeLexGreater{});
+    }
+  }
 }
 
 std::optional<JoinTree> JoinTreeEnumerator::Next() {
@@ -324,46 +363,22 @@ std::optional<JoinTree> JoinTreeEnumerator::Next() {
       interrupted_ = true;
       return std::nullopt;
     }
-    const auto top = frontier_.begin();
-    const std::vector<std::string> chosen = *top;
-    frontier_.erase(top);
+    std::pop_heap(frontier_.begin(), frontier_.end(), SizeLexGreater{});
+    const RelationSet& chosen = *frontier_.back();
+    frontier_.pop_back();
     ++sets_expanded_;
 
-    std::optional<JoinTree> tree = TryBuildTree(chosen);
-    if (tree.has_value()) {
+    for (uint32_t i = 0; i < chosen.size(); ++i) slot_[chosen[i]] = i;
+    const bool connected = Connects(chosen);
+    if (!connected && chosen.size() < max_relations_) Grow(chosen);
+    for (const uint32_t rel : chosen) slot_[rel] = kAbsent;
+    if (connected) {
       // Minimal connected superset found; don't grow it further.
       ++trees_yielded_;
-      return tree;
+      return MakeTree(chosen);
     }
     if (chosen.size() >= max_relations_) {
       ++sets_cut_;  // disconnected set hit the bound: lost search subtree
-      continue;
-    }
-    // Grow by any relation adjacent to the current set.
-    std::set<std::string> neighbors;
-    for (const std::string& rel : chosen) {
-      const size_t rel_idx = graph_->IndexOf(rel);
-      if (rel_idx == JoinGraph::kNpos) continue;
-      for (const size_t edge_index : graph_->IncidentEdges(rel_idx)) {
-        const auto [lhs, rhs] = graph_->endpoints_[edge_index];
-        const std::string& other =
-            graph_->relations_[lhs == rel_idx ? rhs : lhs];
-        if (!std::binary_search(chosen.begin(), chosen.end(), other)) {
-          neighbors.insert(other);
-        }
-      }
-    }
-    for (const std::string& neighbor : neighbors) {
-      std::vector<std::string> next;
-      next.reserve(chosen.size() + 1);
-      const auto pos =
-          std::lower_bound(chosen.begin(), chosen.end(), neighbor);
-      next.insert(next.end(), chosen.begin(), pos);
-      next.push_back(neighbor);
-      next.insert(next.end(), pos, chosen.end());
-      if (visited_.insert(next).second) {
-        frontier_.insert(std::move(next));
-      }
     }
   }
   return std::nullopt;
@@ -374,7 +389,7 @@ size_t JoinTreeEnumerator::NextTreeSizeLowerBound() const {
   // Both are admissible (the distance floor bounds every tree this
   // enumerator can ever yield, the frontier minimum bounds the remaining
   // ones), so their maximum is too.
-  return std::max(frontier_.begin()->size(), min_tree_size_);
+  return std::max(frontier_.front()->size(), min_tree_size_);
 }
 
 }  // namespace eve

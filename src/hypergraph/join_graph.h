@@ -13,9 +13,11 @@
 #ifndef EVE_HYPERGRAPH_JOIN_GRAPH_H_
 #define EVE_HYPERGRAPH_JOIN_GRAPH_H_
 
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -159,9 +161,17 @@ class JoinTreeEnumerator {
   // `options.max_extra_relations` bounds growth exactly as in
   // FindConnectingTrees; `options.max_results` is ignored (the caller
   // decides how many trees to pull).
-  JoinTreeEnumerator(const JoinGraph& graph, std::set<std::string> required,
+  JoinTreeEnumerator(const JoinGraph& graph,
+                     const std::set<std::string>& required,
                      std::vector<JoinConstraint> mandatory_edges,
                      const JoinTreeSearchOptions& options);
+
+  // Move-only: the frontier points into the visited-set storage, whose
+  // nodes a move hands over intact but a copy would not.
+  JoinTreeEnumerator(JoinTreeEnumerator&&) noexcept = default;
+  JoinTreeEnumerator& operator=(JoinTreeEnumerator&&) noexcept = default;
+  JoinTreeEnumerator(const JoinTreeEnumerator&) = delete;
+  JoinTreeEnumerator& operator=(const JoinTreeEnumerator&) = delete;
 
   // The next tree in nondecreasing size order, or nullopt when the search
   // space is exhausted.
@@ -193,32 +203,66 @@ class JoinTreeEnumerator {
   size_t trees_yielded() const { return trees_yielded_; }
 
  private:
-  std::optional<JoinTree> TryBuildTree(
-      const std::vector<std::string>& chosen) const;
+  // A relation set: indices into the graph's relations_, ascending. The
+  // graph's relation list is sorted and duplicate-free, so index order is
+  // name order, and comparing two index vectors lexicographically orders
+  // them exactly as comparing their name vectors would.
+  using RelationSet = std::vector<uint32_t>;
+  struct RelationSetHash {
+    size_t operator()(const RelationSet& set) const;
+  };
+  // Heap order for the frontier: the smallest (size, lexicographic) set
+  // on top.
+  struct SizeLexGreater {
+    bool operator()(const RelationSet* a, const RelationSet* b) const {
+      if (a->size() != b->size()) return a->size() > b->size();
+      return *a > *b;
+    }
+  };
+
+  // Tries to connect the popped set (whose members slot_ marks):
+  // mandatory edges first, then any edge between members that merges two
+  // components. On success the non-mandatory edges taken are left in
+  // tree_edges_, in the order they were taken.
+  bool Connects(const RelationSet& chosen);
+  // Union-find over positions in the popped set (parent_).
+  uint32_t Find(uint32_t position);
+  // The yielded tree: the only place relation names are produced.
+  JoinTree MakeTree(const RelationSet& chosen) const;
+  // Enqueues every unvisited one-relation extension of `chosen`.
+  void Grow(const RelationSet& chosen);
+
+  static constexpr uint32_t kAbsent = static_cast<uint32_t>(-1);
+  static constexpr uint32_t kNeighbor = kAbsent - 1;
 
   const JoinGraph* graph_;
-  std::set<std::string> required_;
   std::vector<JoinConstraint> mandatory_edges_;
-  std::set<std::string> mandatory_ids_;
+  // Per mandatory edge: its endpoints as relation indices.
+  std::vector<std::pair<uint32_t, uint32_t>> mandatory_endpoints_;
+  // Per graph edge: its id names a mandatory edge, so it is already in
+  // every tree. Empty when there are no mandatory edges.
+  std::vector<bool> edge_mandatory_;
   size_t max_relations_ = 0;
   // Static size floor: max pairwise BFS distance among required + 1.
   size_t min_tree_size_ = 0;
   DeadlineToken token_;
   bool interrupted_ = false;
 
-  // Uniform-cost frontier: sorted relation vectors ordered by
-  // (size, lexicographic). std::set gives both the priority queue and the
-  // dedup-by-key behavior for pending sets; visited_ remembers every set
-  // ever enqueued so regrowing along a different edge order is skipped.
-  struct SizeLexLess {
-    bool operator()(const std::vector<std::string>& a,
-                    const std::vector<std::string>& b) const {
-      if (a.size() != b.size()) return a.size() < b.size();
-      return a < b;
-    }
-  };
-  std::set<std::vector<std::string>, SizeLexLess> frontier_;
-  std::set<std::vector<std::string>> visited_;
+  // Uniform-cost search state. visited_ holds every set ever enqueued (so
+  // regrowing along a different edge order is skipped); frontier_ is a
+  // binary heap of pointers to the pending ones. A set enters the
+  // frontier only on its first insertion into visited_, so the heap never
+  // holds a duplicate, and node-based storage keeps the pointers valid.
+  std::unordered_set<RelationSet, RelationSetHash> visited_;
+  std::vector<const RelationSet*> frontier_;
+
+  // Scratch for the set being expanded, all restored before Next()
+  // returns: slot_[r] is relation r's position in the set (kNeighbor
+  // while r is collected as a growth candidate, kAbsent otherwise).
+  std::vector<uint32_t> slot_;
+  std::vector<uint32_t> parent_;
+  std::vector<size_t> tree_edges_;
+  std::vector<uint32_t> neighbors_;
 
   size_t sets_expanded_ = 0;
   size_t sets_cut_ = 0;

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iomanip>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -269,6 +271,81 @@ TEST_F(CoverFanTest, ComboTruncationIsDiagnosed) {
         return d.find("max_cover_combinations") != std::string::npos;
       });
   EXPECT_TRUE(noted);
+}
+
+// The deep-search benchmark's input (12 covers, 6 detours) under the
+// default options eved runs with. The search shape is pinned exactly: a
+// faster join-tree search must expand, cut and yield the same sets, not
+// fewer, and rank the same rewritings in the same order.
+TEST(DeepSearchShape, TwelveCoverSixDetourFanIsPinned) {
+  CoverFanMkbSpec spec;
+  spec.num_covers = 12;
+  spec.detours = 6;
+  spec.equal_pcs = true;
+  const Mkb mkb = MakeCoverFanMkb(spec).MoveValue();
+  const ViewDefinition view = MakeCoverFanView(mkb).MoveValue();
+  const Mkb mkb_prime =
+      EvolveMkb(mkb, CapabilityChange::DeleteRelation("R0")).MoveValue().mkb;
+  const CvsResult result =
+      SynchronizeDeleteRelation(view, "R0", mkb, mkb_prime, CvsOptions{})
+          .value();
+  EXPECT_EQ(result.enumeration.ToString(),
+            "combos 12, trees expanded 1620 (1074 sets cut), yielded 32, "
+            "pending 8");
+
+  // "cost | tree relations | tree edges | replacement constraints".
+  std::vector<std::string> ranked;
+  for (const SynchronizedView& rewriting : result.rewritings) {
+    std::ostringstream line;
+    line << std::setprecision(17) << rewriting.cost.total << " |";
+    for (const std::string& rel : rewriting.candidate.tree.relations) {
+      line << " " << rel;
+    }
+    line << " |";
+    for (const JoinConstraint& edge : rewriting.candidate.tree.edges) {
+      line << " " << edge.id;
+    }
+    line << " |";
+    for (const AttributeReplacement& repl : rewriting.candidate.replacements) {
+      line << " " << repl.constraint_id;
+    }
+    ranked.push_back(line.str());
+  }
+  const std::vector<std::string> expected = {
+      "2 | A0 B1 | JB0 | FC1",
+      "3 | A0 B1 B2 | JB0 JB1 | FC2",
+      "4 | A0 B1 B2 B3 | JB0 JB1 JB2 | FC2",
+      "4 | A0 B1 B2 B3 | JB0 JB1 JB2 | FC3",
+      "5 | A0 B1 B2 B3 B4 | JB0 JB1 JB2 JB3 | FC3",
+      "5 | A0 B1 B2 B3 B4 | JB0 JB1 JB2 JB3 | FC2",
+      "5 | A0 B1 B2 B3 B4 | JB0 JB1 JB2 JB3 | FC4",
+      "3000004 | A0 B1 B2 D1 | JB0 JD1 JB1 | FC2",
+      "3000004 | A0 B1 B2 D2 | JB0 JD2 JB1 | FC2",
+      "3000004 | A0 B1 B2 D3 | JB0 JD3 JB1 | FC2",
+      "3000004 | A0 B1 B2 D4 | JB0 JD4 JB1 | FC2",
+      "3000004 | A0 B1 B2 D5 | JB0 JD5 JB1 | FC2",
+      "3000004 | A0 B1 B2 D6 | JB0 JD6 JB1 | FC2",
+      "3000005 | A0 B1 B2 B3 D1 | JB0 JD1 JB1 JB2 | FC3",
+      "3000005 | A0 B1 B2 B3 D1 | JB0 JD1 JB1 JB2 | FC2",
+      "3000005 | A0 B1 B2 B3 D2 | JB0 JD2 JB1 JB2 | FC3",
+      "3000005 | A0 B1 B2 B3 D2 | JB0 JD2 JB1 JB2 | FC2",
+      "3000005 | A0 B1 B2 B3 D3 | JB0 JD3 JB1 JB2 | FC3",
+      "3000005 | A0 B1 B2 B3 D3 | JB0 JD3 JB1 JB2 | FC2",
+      "3000005 | A0 B1 B2 B3 D4 | JB0 JD4 JB1 JB2 | FC3",
+      "3000005 | A0 B1 B2 B3 D4 | JB0 JD4 JB1 JB2 | FC2",
+      "3000005 | A0 B1 B2 B3 D5 | JB0 JD5 JB1 JB2 | FC3",
+      "3000005 | A0 B1 B2 B3 D5 | JB0 JD5 JB1 JB2 | FC2",
+      "3000005 | A0 B1 B2 B3 D6 | JB0 JD6 JB1 JB2 | FC3",
+      "3000005 | A0 B1 B2 B3 D6 | JB0 JD6 JB1 JB2 | FC2",
+      "3000005 | A0 B1 B2 D1 D2 | JB0 JD1 JD2 JB1 | FC2",
+      "3000005 | A0 B1 B2 D1 D3 | JB0 JD1 JD3 JB1 | FC2",
+      "3000005 | A0 B1 B2 D1 D4 | JB0 JD1 JD4 JB1 | FC2",
+      "3000005 | A0 B1 B2 D1 D5 | JB0 JD1 JD5 JB1 | FC2",
+      "3000005 | A0 B1 B2 D1 D6 | JB0 JD1 JD6 JB1 | FC2",
+      "3000005 | A0 B1 B2 D2 D3 | JB0 JD2 JD3 JB1 | FC2",
+      "3000005 | A0 B1 B2 D2 D4 | JB0 JD2 JD4 JB1 | FC2",
+  };
+  EXPECT_EQ(ranked, expected);
 }
 
 }  // namespace
