@@ -1,5 +1,5 @@
-// Columnar data plane at scale: vectorized executor vs hash vs the
-// nested-loop oracle, and incremental extent maintenance
+// Columnar data plane at scale: vectorized executor vs the nested-loop
+// oracle, and incremental extent maintenance
 // (IncrementalRefresh) vs full re-materialization for every CVS verdict.
 //
 // The workload is a two-relation chain join R0 ⋈ R1 with a 10M-row R0
@@ -17,7 +17,7 @@
 //                  extent with no base scan at all
 //
 // Before any timing, the binary validates (and exits nonzero on failure):
-//   1. nested-loop, hash and vectorized execution produce identical sets;
+//   1. nested-loop and vectorized execution produce identical sets;
 //   2. IncrementalRefresh is byte-identical to a full Refresh for the
 //      Equal, Superset and Subset verdicts, AND actually took the delta
 //      path (a silent fallback to kFull would make the timings a lie).
@@ -141,7 +141,6 @@ void CheckIncremental(Fixture& f, const ViewDefinition& old_view,
                       const ViewDefinition& new_view, ExtentRelation verdict,
                       RefreshPath want_path) {
   MaterializedViewStore store(&f.registry);
-  store.SetStrategy(JoinStrategy::kVectorized);
   Require(store.Refresh(old_view, f.db, f.mkb.catalog()).ok(),
           "materialize old view");
   Require(store
@@ -153,7 +152,6 @@ void CheckIncremental(Fixture& f, const ViewDefinition& old_view,
           std::string("expected path ") + RefreshPathToString(want_path) +
               ", got " + RefreshPathToString(store.StatsFor("V").last_path));
   MaterializedViewStore full(&f.registry);
-  full.SetStrategy(JoinStrategy::kVectorized);
   Require(full.Refresh(new_view, f.db, f.mkb.catalog()).ok(),
           "full refresh of new view");
   Require(store.Extent("V").value()->SetEquals(*full.Extent("V").value()),
@@ -165,16 +163,11 @@ void PrintReproduction() {
   Fixture& f = GetFixture(16384);
   const Result<Table> nested = EvaluateView(
       f.base, f.db, f.mkb.catalog(), &f.registry, JoinStrategy::kNestedLoop);
-  const Result<Table> hashed = EvaluateView(
-      f.base, f.db, f.mkb.catalog(), &f.registry, JoinStrategy::kHash);
   const Result<Table> vectorized = EvaluateView(
       f.base, f.db, f.mkb.catalog(), &f.registry, JoinStrategy::kVectorized);
-  Require(nested.ok() && hashed.ok() && vectorized.ok(),
-          "strategy evaluation errored");
+  Require(nested.ok() && vectorized.ok(), "strategy evaluation errored");
   Require(vectorized.value().SetEquals(nested.value()),
           "vectorized != nested-loop oracle");
-  Require(hashed.value().SetEquals(nested.value()),
-          "hash != nested-loop oracle");
 
   CheckIncremental(f, f.base, f.base, ExtentRelation::kEqual,
                    RefreshPath::kReuseEqual);
@@ -184,7 +177,7 @@ void PrintReproduction() {
                    RefreshPath::kDeltaSubset);
 
   std::cout << "=== executor ablation ===\n"
-            << "16384-row join: all three strategies agree ("
+            << "16384-row join: both strategies agree ("
             << nested.value().NumRows() << " rows); incremental refresh "
             << "matches full refresh for Equal/Superset/Subset via the "
             << "delta paths\n"
@@ -222,20 +215,10 @@ void BM_QueryNestedLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryNestedLoop)->Unit(benchmark::kMillisecond);
 
-void BM_QueryHash(benchmark::State& state) {
-  RunStrategy(state, JoinStrategy::kHash, BigRows());
-}
-BENCHMARK(BM_QueryHash)->Unit(benchmark::kMillisecond);
-
 void BM_QueryVectorized(benchmark::State& state) {
   RunStrategy(state, JoinStrategy::kVectorized, BigRows());
 }
 BENCHMARK(BM_QueryVectorized)->Unit(benchmark::kMillisecond);
-
-void BM_QueryAuto(benchmark::State& state) {
-  RunStrategy(state, JoinStrategy::kAuto, BigRows());
-}
-BENCHMARK(BM_QueryAuto)->Unit(benchmark::kMillisecond);
 
 // --- Full vs incremental re-materialization ------------------------------
 
@@ -244,7 +227,6 @@ BENCHMARK(BM_QueryAuto)->Unit(benchmark::kMillisecond);
 void BM_FullRefresh(benchmark::State& state) {
   Fixture& f = GetFixture(BigRows());
   MaterializedViewStore store(&f.registry);
-  store.SetStrategy(JoinStrategy::kAuto);
   for (auto _ : state) {
     const Status status = store.Refresh(f.base, f.db, f.mkb.catalog());
     if (!status.ok()) {
@@ -262,7 +244,6 @@ BENCHMARK(BM_FullRefresh)->Unit(benchmark::kMillisecond);
 void BM_IncrementalEqual(benchmark::State& state) {
   Fixture& f = GetFixture(BigRows());
   MaterializedViewStore store(&f.registry);
-  store.SetStrategy(JoinStrategy::kAuto);
   Status status = store.Refresh(f.base, f.db, f.mkb.catalog());
   if (!status.ok()) {
     state.SkipWithError(status.ToString().c_str());
@@ -295,7 +276,6 @@ void RunIncremental(benchmark::State& state, const ViewDefinition& old_view,
                     RefreshPath want_path) {
   Fixture& f = GetFixture(BigRows());
   MaterializedViewStore store(&f.registry);
-  store.SetStrategy(JoinStrategy::kAuto);
   for (auto _ : state) {
     state.PauseTiming();
     Status status = store.Refresh(old_view, f.db, f.mkb.catalog());

@@ -1,7 +1,9 @@
-// Join-strategy ablation: nested-loop vs hash execution of view extents.
-// The empirical P3 check (E8) evaluates views over growing states; this
-// bench quantifies why the hash path is the default there (O(N) vs O(N²)
-// on equi-joins) and verifies both strategies agree.
+// Join-strategy ablation: nested-loop vs vectorized execution of view
+// extents. The empirical P3 check (E8) evaluates views over growing
+// states; this bench quantifies why the vectorized path is the default
+// there (O(N) vs O(N²) on equi-joins), sweeps it from a single customer
+// up so the small-input end is covered, and verifies both strategies
+// agree.
 
 #include <benchmark/benchmark.h>
 
@@ -38,18 +40,19 @@ void PrintReproduction() {
   }
   const Result<Table> nested = EvaluateView(
       f.view, db, f.mkb.catalog(), nullptr, JoinStrategy::kNestedLoop);
-  const Result<Table> hashed = EvaluateView(f.view, db, f.mkb.catalog(),
-                                            nullptr, JoinStrategy::kHash);
-  if (!nested.ok() || !hashed.ok()) {
-    std::cerr << nested.status() << " / " << hashed.status() << std::endl;
+  const Result<Table> vectorized = EvaluateView(
+      f.view, db, f.mkb.catalog(), nullptr, JoinStrategy::kVectorized);
+  if (!nested.ok() || !vectorized.ok()) {
+    std::cerr << nested.status() << " / " << vectorized.status()
+              << std::endl;
     std::exit(1);
   }
   std::cout << "=== join-strategy ablation ===\n"
             << "paper view over 200 customers: nested-loop rows = "
             << nested.value().NumRows()
-            << ", hash rows = " << hashed.value().NumRows()
+            << ", vectorized rows = " << vectorized.value().NumRows()
             << ", identical sets: "
-            << (nested.value().SetEquals(hashed.value()) ? "yes" : "NO")
+            << (nested.value().SetEquals(vectorized.value()) ? "yes" : "NO")
             << "\n\n";
 }
 
@@ -74,10 +77,10 @@ void BM_NestedLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_NestedLoop)->RangeMultiplier(4)->Range(16, 1024)->Complexity();
 
-void BM_HashJoin(benchmark::State& state) {
-  RunStrategy(state, JoinStrategy::kHash);
+void BM_Vectorized(benchmark::State& state) {
+  RunStrategy(state, JoinStrategy::kVectorized);
 }
-BENCHMARK(BM_HashJoin)->RangeMultiplier(4)->Range(16, 4096)->Complexity();
+BENCHMARK(BM_Vectorized)->RangeMultiplier(4)->Range(1, 4096)->Complexity();
 
 }  // namespace
 }  // namespace eve

@@ -17,7 +17,7 @@
 # throughput, pinned-snapshot read p50/p99 under concurrent commits, and
 # the million-view registration smoke) into BENCH_shards.json.
 #
-# The executor suite (bench_executor: vectorized vs hash vs nested-loop
+# The executor suite (bench_executor: vectorized vs nested-loop
 # query execution and full-vs-incremental extent re-materialization per
 # CVS verdict on a 10M-row skewed join; EVE_BENCH_EXECUTOR_ROWS overrides
 # the scale, e.g. under sanitizers) goes into BENCH_executor.json. The
@@ -637,7 +637,7 @@ fi
 EXEC_JSON="$(mktemp)"
 trap 'rm -f "$CURRENT_JSON" "$ENUM_JSON" "$FED_JSON" "$ADM_JSON" "$VER_JSON" "$SHARDS_JSON" "$EXEC_JSON"' EXIT
 
-# The binary validates vectorized == nested-loop == hash and incremental
+# The binary validates vectorized == nested-loop and incremental
 # == full refresh for every verdict before timing anything, and exits
 # nonzero on a mismatch (aborting this script via set -e).
 # EVE_BENCH_EXECUTOR_ROWS sets the R0 scale; the 10M default is the
@@ -669,13 +669,10 @@ def time_of(name):
 rows = None
 full = time_of("BM_FullRefresh")
 
-# Query-strategy ablation: hash is the in-run baseline for the columnar
-# path (the nested-loop oracle runs at a capped size, so its time is
-# reported but not a fair ratio).
+# Query-strategy ablation (the nested-loop oracle runs at a capped size,
+# so its time is reported but not a fair ratio).
 strategies = []
-hash_time = time_of("BM_QueryHash")
-for name in ("BM_QueryNestedLoop", "BM_QueryHash", "BM_QueryVectorized",
-             "BM_QueryAuto"):
+for name in ("BM_QueryNestedLoop", "BM_QueryVectorized"):
     t = time_of(name)
     if t is None:
         continue
@@ -684,9 +681,6 @@ for name in ("BM_QueryNestedLoop", "BM_QueryHash", "BM_QueryVectorized",
              "rows": bench.get("rows"), "out_rows": bench.get("out_rows")}
     if rows is None and name != "BM_QueryNestedLoop":
         rows = bench.get("rows")
-    if (name in ("BM_QueryVectorized", "BM_QueryAuto")
-            and hash_time is not None and t[0] > 0):
-        entry["speedup_vs_hash"] = round(hash_time[0] / t[0], 2)
     strategies.append(entry)
 
 # Incremental maintenance vs the full re-materialization baseline.
@@ -712,8 +706,8 @@ for verdict, name in (("equal", "BM_IncrementalEqual"),
 meets_5x = all(speedups.get(v, 0) >= 5.0 for v in ("equal", "superset"))
 
 out = {
-    "description": "Columnar data plane: vectorized vs hash vs nested-"
-                   "loop execution of a skewed two-relation join, and "
+    "description": "Columnar data plane: vectorized vs nested-loop "
+                   "execution of a skewed two-relation join, and "
                    "incremental extent maintenance (IncrementalRefresh "
                    "per CVS verdict) vs full re-materialization. The "
                    "binary validates strategy agreement and incremental "
@@ -733,8 +727,6 @@ with open(out_path, "w") as f:
 print(f"wrote {out_path}")
 for entry in strategies:
     note = f"  {entry['current']:.1f} {entry['time_unit']}"
-    if "speedup_vs_hash" in entry:
-        note += f"  ({entry['speedup_vs_hash']}x hash)"
     print(f"{entry['name']:<24}{note}")
 for entry in incremental:
     note = f"  {entry['current']:.2f} {entry['time_unit']}"

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "algebra/vectorized.h"
-#include "common/str_util.h"
 
 namespace eve {
 
@@ -13,40 +12,7 @@ ExecutorCounters& GlobalExecutorCounters() {
   return counters;
 }
 
-const char* JoinStrategyToString(JoinStrategy strategy) {
-  switch (strategy) {
-    case JoinStrategy::kNestedLoop:
-      return "nested_loop";
-    case JoinStrategy::kHash:
-      return "hash";
-    case JoinStrategy::kVectorized:
-      return "vectorized";
-    case JoinStrategy::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-Result<JoinStrategy> ParseJoinStrategy(const std::string& text) {
-  std::string lower = text;
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "nested" || lower == "nested_loop" || lower == "nestedloop") {
-    return JoinStrategy::kNestedLoop;
-  }
-  if (lower == "hash") return JoinStrategy::kHash;
-  if (lower == "vectorized" || lower == "vector") {
-    return JoinStrategy::kVectorized;
-  }
-  if (lower == "auto") return JoinStrategy::kAuto;
-  return Status::InvalidArgument("unknown join strategy: " + text);
-}
-
 namespace {
-
-// Below this many rows in the largest input, batch setup overhead beats
-// the vectorized path's gains; kAuto routes such queries to kHash.
-constexpr size_t kAutoVectorizeRowThreshold = 256;
 
 // Conjuncts scheduled by the earliest join position at which all their
 // referenced relations are bound.
@@ -83,7 +49,8 @@ struct ExecContext {
   const Database* db;
   const ScheduledConjuncts* scheduled;
   const FunctionRegistry* registry;
-  std::vector<const Table*> tables;
+  // Rows of each FROM relation, built from the columns once per query.
+  std::vector<std::vector<Tuple>> rows;
   std::vector<const Schema*> schemas;
   Table* out;
 };
@@ -106,7 +73,7 @@ Status JoinRecursive(const ExecContext& ctx, size_t depth,
   }
   const std::string& rel = ctx.query->relations[depth];
   const Schema& schema = *ctx.schemas[depth];
-  for (const Tuple& row : ctx.tables[depth]->rows()) {
+  for (const Tuple& row : ctx.rows[depth]) {
     for (size_t i = 0; i < schema.size(); ++i) {
       binding->Bind(AttributeRef{rel, schema.attribute(i).name}, row[i]);
     }
@@ -127,241 +94,6 @@ Status JoinRecursive(const ExecContext& ctx, size_t depth,
   // caller's own loop. (Attribute names are relation-qualified, so stale
   // entries from this depth cannot be read by shallower predicates.)
   return Status::OK();
-}
-
-// --- Hash-join execution -----------------------------------------------------
-
-bool TupleKeyLess(const Tuple& a, const Tuple& b) {
-  const size_t n = std::min(a.size(), b.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (a[i] < b[i]) return true;
-    if (b[i] < a[i]) return false;
-  }
-  return a.size() < b.size();
-}
-
-// Normalizes a join-key value so int and double keys compare consistently
-// with the nested-loop Compare() semantics.
-Value NormalizeKey(const Value& v) {
-  if (v.type() == DataType::kInt) {
-    return Value::Double(static_cast<double>(v.int_value()));
-  }
-  return v;
-}
-
-// Intermediate rows during a left-deep hash-join pipeline: a flat column
-// layout of relation-qualified attributes.
-struct Intermediate {
-  std::vector<AttributeRef> columns;
-  std::vector<Tuple> rows;
-};
-
-struct HashExecContext {
-  const ConjunctiveQuery* query;
-  const Catalog* catalog;
-  const Database* db;
-  const FunctionRegistry* registry;
-};
-
-Result<Value> EvalOnIntermediate(const Expr& expr, const Intermediate& inter,
-                                 const Tuple& row,
-                                 const FunctionRegistry* registry) {
-  RowBinding binding;
-  for (size_t i = 0; i < inter.columns.size(); ++i) {
-    binding.Bind(inter.columns[i], row[i]);
-  }
-  return EvalExpr(expr, binding, registry);
-}
-
-Result<bool> PredicateOnIntermediate(const Expr& expr,
-                                     const Intermediate& inter,
-                                     const Tuple& row,
-                                     const FunctionRegistry* registry) {
-  RowBinding binding;
-  for (size_t i = 0; i < inter.columns.size(); ++i) {
-    binding.Bind(inter.columns[i], row[i]);
-  }
-  return EvalPredicate(expr, binding, registry);
-}
-
-// True when every relation referenced by `expr` is bound by `bound`.
-bool CoveredBy(const Expr& expr, const std::set<std::string>& bound) {
-  for (const std::string& rel : expr.ReferencedRelations()) {
-    if (bound.count(rel) == 0) return false;
-  }
-  return true;
-}
-
-Result<Table> ExecuteHash(const ConjunctiveQuery& query, const Database& db,
-                          const Catalog& catalog,
-                          const FunctionRegistry* registry,
-                          Table out_table) {
-  std::set<std::string> bound;
-  std::vector<bool> conjunct_used(query.conjuncts.size(), false);
-  Intermediate current;
-
-  auto apply_ready_filters = [&](Intermediate* inter) -> Status {
-    for (size_t c = 0; c < query.conjuncts.size(); ++c) {
-      if (conjunct_used[c]) continue;
-      if (!CoveredBy(*query.conjuncts[c], bound)) continue;
-      conjunct_used[c] = true;
-      std::vector<Tuple> kept;
-      kept.reserve(inter->rows.size());
-      for (Tuple& row : inter->rows) {
-        EVE_ASSIGN_OR_RETURN(
-            const bool pass,
-            PredicateOnIntermediate(*query.conjuncts[c], *inter, row,
-                                    registry));
-        if (pass) kept.push_back(std::move(row));
-      }
-      inter->rows = std::move(kept);
-    }
-    return Status::OK();
-  };
-
-  for (size_t depth = 0; depth < query.relations.size(); ++depth) {
-    const std::string& rel = query.relations[depth];
-    EVE_ASSIGN_OR_RETURN(const Table* table, db.GetTable(rel));
-    EVE_ASSIGN_OR_RETURN(const RelationDef* def, catalog.GetRelation(rel));
-    std::vector<AttributeRef> rel_columns;
-    rel_columns.reserve(def->schema.size());
-    for (const AttributeDef& attr : def->schema.attributes()) {
-      rel_columns.push_back(AttributeRef{rel, attr.name});
-    }
-
-    if (depth == 0) {
-      current.columns = rel_columns;
-      current.rows = table->rows();
-      bound.insert(rel);
-      EVE_RETURN_IF_ERROR(apply_ready_filters(&current));
-      continue;
-    }
-
-    // Find equi-join conjuncts linking `rel` to the bound relations:
-    // Column(rel.X) = Column(bound.Y) in either orientation.
-    std::vector<size_t> probe_cols;  // indices into current.columns
-    std::vector<size_t> build_cols;  // indices into rel_columns
-    for (size_t c = 0; c < query.conjuncts.size(); ++c) {
-      if (conjunct_used[c]) continue;
-      const Expr& e = *query.conjuncts[c];
-      if (e.kind() != ExprKind::kBinary || e.binary_op() != BinaryOp::kEq) {
-        continue;
-      }
-      const Expr* lhs = e.child(0).get();
-      const Expr* rhs = e.child(1).get();
-      if (lhs->kind() != ExprKind::kColumn ||
-          rhs->kind() != ExprKind::kColumn) {
-        continue;
-      }
-      const AttributeRef* new_side = nullptr;
-      const AttributeRef* old_side = nullptr;
-      if (lhs->column().relation == rel &&
-          bound.count(rhs->column().relation) > 0) {
-        new_side = &lhs->column();
-        old_side = &rhs->column();
-      } else if (rhs->column().relation == rel &&
-                 bound.count(lhs->column().relation) > 0) {
-        new_side = &rhs->column();
-        old_side = &lhs->column();
-      } else {
-        continue;
-      }
-      const auto new_it = std::find(rel_columns.begin(), rel_columns.end(),
-                                    *new_side);
-      const auto old_it = std::find(current.columns.begin(),
-                                    current.columns.end(), *old_side);
-      if (new_it == rel_columns.end() || old_it == current.columns.end()) {
-        continue;  // defensive; validated elsewhere
-      }
-      conjunct_used[c] = true;
-      build_cols.push_back(
-          static_cast<size_t>(new_it - rel_columns.begin()));
-      probe_cols.push_back(
-          static_cast<size_t>(old_it - current.columns.begin()));
-    }
-
-    Intermediate next;
-    next.columns = current.columns;
-    next.columns.insert(next.columns.end(), rel_columns.begin(),
-                        rel_columns.end());
-
-    if (build_cols.empty()) {
-      // No equi link: cartesian extension (filters may still apply after).
-      // Correct but O(|L|x|R|) — counted so operators can spot the missing
-      // equi-join predicate instead of it silently exploding.
-      GlobalExecutorCounters().cartesian_fallbacks.fetch_add(
-          1, std::memory_order_relaxed);
-      for (const Tuple& left : current.rows) {
-        for (const Tuple& right : table->rows()) {
-          Tuple merged = left;
-          merged.insert(merged.end(), right.begin(), right.end());
-          next.rows.push_back(std::move(merged));
-        }
-      }
-    } else {
-      // Build a key -> row-ids map over the new relation.
-      std::map<Tuple, std::vector<size_t>, decltype(&TupleKeyLess)> hash(
-          &TupleKeyLess);
-      for (size_t r = 0; r < table->rows().size(); ++r) {
-        Tuple key;
-        key.reserve(build_cols.size());
-        bool has_null = false;
-        for (const size_t col : build_cols) {
-          const Value& v = table->rows()[r][col];
-          if (v.is_null()) has_null = true;
-          key.push_back(NormalizeKey(v));
-        }
-        if (has_null) continue;  // NULL never equi-joins
-        hash[std::move(key)].push_back(r);
-      }
-      for (const Tuple& left : current.rows) {
-        Tuple key;
-        key.reserve(probe_cols.size());
-        bool has_null = false;
-        for (const size_t col : probe_cols) {
-          const Value& v = left[col];
-          if (v.is_null()) has_null = true;
-          key.push_back(NormalizeKey(v));
-        }
-        if (has_null) continue;
-        const auto it = hash.find(key);
-        if (it == hash.end()) continue;
-        for (const size_t r : it->second) {
-          Tuple merged = left;
-          const Tuple& right = table->rows()[r];
-          merged.insert(merged.end(), right.begin(), right.end());
-          next.rows.push_back(std::move(merged));
-        }
-      }
-    }
-
-    current = std::move(next);
-    bound.insert(rel);
-    EVE_RETURN_IF_ERROR(apply_ready_filters(&current));
-  }
-
-  // Any conjunct still unused is unsatisfiable coverage-wise; Schedule()
-  // in the nested-loop path reports this, replicate the check.
-  for (size_t c = 0; c < query.conjuncts.size(); ++c) {
-    if (!conjunct_used[c]) {
-      return Status::InvalidArgument(
-          "conjunct references relation not in FROM: " +
-          query.conjuncts[c]->ToString());
-    }
-  }
-
-  for (const Tuple& row : current.rows) {
-    Tuple projected;
-    projected.reserve(query.projections.size());
-    for (const ExprPtr& proj : query.projections) {
-      EVE_ASSIGN_OR_RETURN(
-          Value v, EvalOnIntermediate(*proj, current, row, registry));
-      projected.push_back(std::move(v));
-    }
-    out_table.InsertUnchecked(std::move(projected));
-  }
-  if (query.distinct) out_table.Deduplicate();
-  return out_table;
 }
 
 }  // namespace
@@ -398,26 +130,10 @@ Result<Table> Execute(const ConjunctiveQuery& query, const Database& db,
   EVE_ASSIGN_OR_RETURN(Schema out_schema, Schema::Create(std::move(out_attrs)));
   Table out(std::move(out_schema));
 
-  if (strategy == JoinStrategy::kAuto) {
-    size_t largest = 0;
-    for (const std::string& rel : query.relations) {
-      EVE_ASSIGN_OR_RETURN(const Table* table, db.GetTable(rel));
-      largest = std::max(largest, table->NumRows());
-    }
-    strategy = largest >= kAutoVectorizeRowThreshold
-                   ? JoinStrategy::kVectorized
-                   : JoinStrategy::kHash;
-  }
-
   if (strategy == JoinStrategy::kVectorized) {
     GlobalExecutorCounters().vectorized_queries.fetch_add(
         1, std::memory_order_relaxed);
     return ExecuteVectorized(query, db, catalog, registry, std::move(out));
-  }
-  if (strategy == JoinStrategy::kHash) {
-    GlobalExecutorCounters().hash_queries.fetch_add(
-        1, std::memory_order_relaxed);
-    return ExecuteHash(query, db, catalog, registry, std::move(out));
   }
   GlobalExecutorCounters().nested_loop_queries.fetch_add(
       1, std::memory_order_relaxed);
@@ -433,7 +149,11 @@ Result<Table> Execute(const ConjunctiveQuery& query, const Database& db,
   for (const std::string& rel : query.relations) {
     EVE_ASSIGN_OR_RETURN(const Table* table, db.GetTable(rel));
     EVE_ASSIGN_OR_RETURN(const RelationDef* def, catalog.GetRelation(rel));
-    ctx.tables.push_back(table);
+    std::vector<Tuple>& rows = ctx.rows.emplace_back();
+    rows.reserve(table->NumRows());
+    for (size_t r = 0; r < table->NumRows(); ++r) {
+      rows.push_back(table->Row(r));
+    }
     ctx.schemas.push_back(&def->schema);
   }
 

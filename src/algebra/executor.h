@@ -1,7 +1,8 @@
 // Executor for conjunctive SELECT-PROJECT-JOIN queries over the in-memory
-// Database — the evaluation substrate for E-SQL views. Joins are computed
-// with a predicate-pushdown nested-loop strategy: each conjunct is applied
-// as soon as all relations it references are bound.
+// Database — the evaluation substrate for E-SQL views. The product path is
+// the batch-at-a-time vectorized executor (algebra/vectorized.h); a
+// predicate-pushdown nested-loop join, which applies each conjunct as soon
+// as all relations it references are bound, is kept as the test oracle.
 
 #ifndef EVE_ALGEBRA_EXECUTOR_H_
 #define EVE_ALGEBRA_EXECUTOR_H_
@@ -36,40 +37,29 @@ enum class JoinStrategy {
   // Predicate-pushdown nested loops: no memory overhead, O(∏|Ri|) worst
   // case. Retained as the differential-testing oracle.
   kNestedLoop,
-  // Left-deep hash joins on equi-join conjuncts (column = column across
-  // relations); non-equi conjuncts become post-filters. Falls back to a
-  // cartesian extension for relations with no equi-join link.
-  kHash,
   // Batch-at-a-time columnar execution: selection vectors over base-table
-  // row ids, hashed equi-joins, typed comparison kernels, and
-  // late-materialized projections (zero-copy for bare columns). Same
-  // cartesian fallback as kHash.
+  // row ids, hashed equi-joins (non-equi conjuncts become post-filters),
+  // typed comparison kernels, and late-materialized projections
+  // (zero-copy for bare columns). Relations with no equi-join link are
+  // joined by a cartesian extension.
   kVectorized,
-  // Cost-based pick between kHash (small inputs, where batch setup
-  // overhead dominates) and kVectorized (everything else).
-  kAuto,
+  // Another name for kVectorized; perfbench/harness/refresh_data.cc
+  // still spells it.
+  kAuto = kVectorized,
 };
 
-const char* JoinStrategyToString(JoinStrategy strategy);
-
-// Parses "nested" / "nested_loop" / "hash" / "vectorized" / "auto"
-// (case-insensitive).
-Result<JoinStrategy> ParseJoinStrategy(const std::string& text);
-
-// Process-wide executor telemetry. The cartesian fallback in the hash and
-// vectorized paths is correct but O(|L|x|R|); instead of silently
+// Process-wide executor telemetry. The cartesian fallback in the
+// vectorized path is correct but O(|L|x|R|); instead of silently
 // exploding it bumps `cartesian_fallbacks` so operators can spot the
 // missing equi-join predicate (surfaced via evectl SHOW EXECUTOR STATS).
 struct ExecutorCounters {
   std::atomic<uint64_t> cartesian_fallbacks{0};
   std::atomic<uint64_t> nested_loop_queries{0};
-  std::atomic<uint64_t> hash_queries{0};
   std::atomic<uint64_t> vectorized_queries{0};
 
   void Reset() {
     cartesian_fallbacks.store(0, std::memory_order_relaxed);
     nested_loop_queries.store(0, std::memory_order_relaxed);
-    hash_queries.store(0, std::memory_order_relaxed);
     vectorized_queries.store(0, std::memory_order_relaxed);
   }
 };
@@ -77,7 +67,7 @@ struct ExecutorCounters {
 ExecutorCounters& GlobalExecutorCounters();
 
 // Executes `query` against `db`; output schema types are inferred from
-// `catalog`. `registry` resolves function calls (may be null). All
+// `catalog`. `registry` resolves function calls (may be null). Both
 // strategies produce identical result sets (tested in
 // tests/executor_equivalence_test).
 Result<Table> Execute(const ConjunctiveQuery& query, const Database& db,

@@ -3,7 +3,7 @@
 // is a set of per-relation row-id vectors into the base tables (late
 // materialization); predicates run as typed kernels over gathered column
 // chunks where possible, falling back to the shared scalar kernels in
-// algebra/eval.h so all strategies agree bit-for-bit.
+// algebra/eval.h so both strategies agree bit-for-bit.
 
 #ifndef EVE_ALGEBRA_VECTORIZED_H_
 #define EVE_ALGEBRA_VECTORIZED_H_

@@ -182,9 +182,6 @@ Result<ExtentRelation> CompareExtentsEmpirically(
     const Database& db, const Catalog& old_catalog,
     const Catalog& new_catalog, const FunctionRegistry* registry,
     JoinStrategy strategy) {
-  // Hash joins by default: the empirical check is run over many
-  // seeds/states and the nested-loop cost is quadratic in table size (E8
-  // measures both).
   EVE_ASSIGN_OR_RETURN(
       const Table old_table,
       EvaluateView(old_view, db, old_catalog, registry, strategy));

@@ -57,13 +57,13 @@ ExtentRelation CandidateExtentFloor(const RMapping& mapping,
 // Empirical comparison: evaluates both views over `db` (which must still
 // hold the pre-change tables so the old view is evaluable), projects each
 // onto the common interface attributes, and compares as sets. `strategy`
-// picks the join implementation for both evaluations (hash by default;
-// kAuto upgrades large inputs to the vectorized path).
+// picks the join implementation for both evaluations (vectorized by
+// default; tests pass kNestedLoop to use the oracle).
 Result<ExtentRelation> CompareExtentsEmpirically(
     const ViewDefinition& old_view, const ViewDefinition& new_view,
     const Database& db, const Catalog& old_catalog,
     const Catalog& new_catalog, const FunctionRegistry* registry = nullptr,
-    JoinStrategy strategy = JoinStrategy::kHash);
+    JoinStrategy strategy = JoinStrategy::kVectorized);
 
 }  // namespace eve
 

@@ -276,7 +276,6 @@ class EveSystem {
     executor_strategy_ = strategy;
     if (mat_store_ != nullptr) mat_store_->SetStrategy(strategy);
   }
-  JoinStrategy executor_strategy() const { return executor_strategy_; }
 
   Result<const RegisteredView*> GetView(const std::string& name) const;
 
@@ -584,7 +583,7 @@ class EveSystem {
   Journal* journal_ = nullptr;  // non-owning
   MaterializedViewStore* mat_store_ = nullptr;  // non-owning
   Database* mat_db_ = nullptr;                  // non-owning
-  JoinStrategy executor_strategy_ = JoinStrategy::kAuto;
+  JoinStrategy executor_strategy_ = JoinStrategy::kVectorized;
   // Shared (not per-copy) so PreviewChange scratch copies reuse the pool;
   // ParallelFor keeps per-call completion state, so concurrent use is safe.
   std::shared_ptr<ThreadPool> sync_pool_;

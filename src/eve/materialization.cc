@@ -284,6 +284,15 @@ Result<bool> MaterializedViewStore::TryDeltaSuperset(
   std::vector<ExprPtr> dropped = ClauseDifference(old_view.where(),
                                                   new_view.where());
   if (dropped.empty()) return false;
+  // A condition dropped because its column was deleted cannot be
+  // evaluated against the evolved tables.
+  for (const ExprPtr& clause : dropped) {
+    std::vector<AttributeRef> refs;
+    clause->CollectColumns(&refs);
+    for (const AttributeRef& ref : refs) {
+      if (!catalog.HasAttribute(ref)) return false;
+    }
+  }
 
   FunctionRegistry local =
       registry_ ? *registry_ : FunctionRegistry();

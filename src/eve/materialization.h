@@ -67,8 +67,8 @@ class MaterializedViewStore {
       : registry_(registry) {}
 
   // Join strategy for view evaluation (full refreshes, delta queries and
-  // empirical checks). Hash joins by default; kAuto upgrades large inputs
-  // to the vectorized path.
+  // empirical checks). Vectorized by default; kNestedLoop runs the test
+  // oracle.
   void SetStrategy(JoinStrategy strategy) { strategy_ = strategy; }
   JoinStrategy strategy() const { return strategy_; }
 
@@ -140,7 +140,7 @@ class MaterializedViewStore {
                                 const Database& db, const Catalog& catalog);
 
   const FunctionRegistry* registry_ = nullptr;
-  JoinStrategy strategy_ = JoinStrategy::kHash;
+  JoinStrategy strategy_ = JoinStrategy::kVectorized;
   std::map<std::string, Table> extents_;
   std::map<std::string, RefreshStats> stats_;
 };

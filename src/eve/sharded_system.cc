@@ -194,10 +194,6 @@ void ShardedEveSystem::SetVersioningMode(VersioningMode mode) {
   for (auto& shard : shards_) shard->system.SetVersioningMode(mode);
 }
 
-void ShardedEveSystem::SetExecutorStrategy(JoinStrategy strategy) {
-  for (auto& shard : shards_) shard->system.SetExecutorStrategy(strategy);
-}
-
 const std::string& ShardedSnapshot::ViewsText(size_t i) const {
   static const std::string kEmpty;
   if (i >= shard_tips.size() || !shard_tips[i]) return kEmpty;

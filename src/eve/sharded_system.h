@@ -114,8 +114,6 @@ class ShardedEveSystem {
   void SetSyncParallelism(size_t threads);
   void SetReportUnaffected(bool on);
   void SetVersioningMode(VersioningMode mode);
-  void SetExecutorStrategy(JoinStrategy strategy);
-  JoinStrategy executor_strategy() const { return shard(0).executor_strategy(); }
 
   // --- Reads ---------------------------------------------------------------
 

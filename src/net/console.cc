@@ -355,10 +355,6 @@ bool Console::Run(const std::string& statement, std::ostream& out,
       EqualsIgnoreCase(words[1], "SYNC")) {
     return SetSync(words[2], words[3]);
   }
-  if (head == "set" && words.size() >= 3 &&
-      EqualsIgnoreCase(words[1], "EXECUTOR")) {
-    return SetExecutor(words[2]);
-  }
   if (head == "set" && words.size() >= 5 &&
       EqualsIgnoreCase(words[1], "SOURCE")) {
     return SetSource(words[2], words[3], words[4]);
@@ -660,18 +656,6 @@ bool Console::SetSync(const std::string& knob, const std::string& value) {
   return false;
 }
 
-bool Console::SetExecutor(const std::string& value) {
-  const Result<JoinStrategy> strategy = ParseJoinStrategy(value);
-  if (!strategy.ok()) {
-    Err() << "error: " << strategy.status() << "\n";
-    return false;
-  }
-  sharded_.SetExecutorStrategy(strategy.value());
-  Out() << "executor strategy = " << JoinStrategyToString(strategy.value())
-        << "\n";
-  return true;
-}
-
 // A shed change is an EXPECTED admission outcome (the error is explicit,
 // the counters account for it), so it does not fail the script; any
 // other enqueue error does.
@@ -757,11 +741,9 @@ bool Console::Show(const std::vector<std::string>& words) {
   if (words.size() >= 3 && EqualsIgnoreCase(words[1], "EXECUTOR") &&
       EqualsIgnoreCase(words[2], "STATS")) {
     const ExecutorCounters& counters = GlobalExecutorCounters();
-    Out() << "strategy: " << JoinStrategyToString(sharded_.executor_strategy())
-          << "\n"
-          << "queries: nested_loop " << counters.nested_loop_queries.load()
-          << ", hash " << counters.hash_queries.load() << ", vectorized "
-          << counters.vectorized_queries.load() << "; cartesian fallbacks "
+    Out() << "queries: nested_loop " << counters.nested_loop_queries.load()
+          << ", vectorized " << counters.vectorized_queries.load()
+          << "; cartesian fallbacks "
           << counters.cartesian_fallbacks.load() << "\n";
     return true;
   }

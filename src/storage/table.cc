@@ -16,38 +16,6 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
-Table::Table(const Table& other)
-    : schema_(other.schema_),
-      columns_(other.columns_),
-      num_rows_(other.num_rows_),
-      dedup_sorted_(other.dedup_sorted_) {}
-
-Table& Table::operator=(const Table& other) {
-  if (this == &other) return *this;
-  schema_ = other.schema_;
-  columns_ = other.columns_;
-  num_rows_ = other.num_rows_;
-  dedup_sorted_ = other.dedup_sorted_;
-  InvalidateRowCache();
-  return *this;
-}
-
-Table::Table(Table&& other) noexcept
-    : schema_(std::move(other.schema_)),
-      columns_(std::move(other.columns_)),
-      num_rows_(other.num_rows_),
-      dedup_sorted_(other.dedup_sorted_) {}
-
-Table& Table::operator=(Table&& other) noexcept {
-  if (this == &other) return *this;
-  schema_ = std::move(other.schema_);
-  columns_ = std::move(other.columns_);
-  num_rows_ = other.num_rows_;
-  dedup_sorted_ = other.dedup_sorted_;
-  InvalidateRowCache();
-  return *this;
-}
-
 Table Table::FromColumns(
     Schema schema, std::vector<std::shared_ptr<const ColumnChunk>> columns,
     size_t num_rows) {
@@ -59,32 +27,11 @@ Table Table::FromColumns(
   return t;
 }
 
-const std::vector<Tuple>& Table::rows() const {
-  std::lock_guard<std::mutex> lock(row_cache_mu_);
-  if (!row_cache_valid_.load(std::memory_order_relaxed)) {
-    row_cache_.clear();
-    row_cache_.reserve(num_rows_);
-    for (size_t r = 0; r < num_rows_; ++r) {
-      Tuple row;
-      row.reserve(columns_.size());
-      for (const auto& col : columns_) row.push_back(col->GetValue(r));
-      row_cache_.push_back(std::move(row));
-    }
-    row_cache_valid_.store(true, std::memory_order_relaxed);
-  }
-  return row_cache_;
-}
-
-void Table::InvalidateRowCache() {
-  if (!row_cache_valid_.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(row_cache_mu_);
-  row_cache_valid_.store(false, std::memory_order_relaxed);
-  row_cache_.clear();
-}
-
-void Table::InvalidateDerived() {
-  dedup_sorted_ = false;
-  InvalidateRowCache();
+Tuple Table::Row(size_t r) const {
+  Tuple row;
+  row.reserve(columns_.size());
+  for (const auto& col : columns_) row.push_back(col->GetValue(r));
+  return row;
 }
 
 ColumnChunk& Table::MutableColumn(size_t i) {
@@ -107,7 +54,7 @@ void Table::InsertUnchecked(Tuple tuple) {
     MutableColumn(i).Append(tuple[i]);
   }
   ++num_rows_;
-  InvalidateDerived();
+  dedup_sorted_ = false;
 }
 
 void Table::Clear() {
@@ -117,7 +64,7 @@ void Table::Clear() {
         std::make_shared<ColumnChunk>(schema_.attribute(i).type);
   }
   num_rows_ = 0;
-  InvalidateDerived();
+  dedup_sorted_ = false;
 }
 
 void Table::Reserve(size_t rows) {
@@ -131,7 +78,7 @@ Status Table::DropColumn(const std::string& name) {
   attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(*idx));
   EVE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(attrs)));
   columns_.erase(columns_.begin() + static_cast<ptrdiff_t>(*idx));
-  InvalidateDerived();
+  dedup_sorted_ = false;
   return Status::OK();
 }
 
@@ -146,8 +93,7 @@ Status Table::RenameColumn(const std::string& name,
   std::vector<AttributeDef> attrs = schema_.attributes();
   attrs[*idx].name = new_name;
   EVE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(attrs)));
-  // Column data is untouched; only the row-cache header is unaffected (the
-  // cache stores values, not names), so it can survive a rename.
+  // Column data is untouched: a rename is schema-only.
   return Status::OK();
 }
 
@@ -161,7 +107,7 @@ Status Table::AddColumn(AttributeDef attr) {
   EVE_ASSIGN_OR_RETURN(schema_, Schema::Create(std::move(attrs)));
   columns_.push_back(std::make_shared<ColumnChunk>(
       ColumnChunk::MakeAllNull(type, num_rows_)));
-  InvalidateDerived();
+  dedup_sorted_ = false;
   return Status::OK();
 }
 
@@ -227,7 +173,6 @@ void Table::Deduplicate() {
     }
   }
   if (!identity) GatherInPlace(idx);
-  InvalidateDerived();
   dedup_sorted_ = true;
 }
 
@@ -310,7 +255,7 @@ std::string Table::ToString(size_t max_rows) const {
     }
     std::vector<std::string> cells;
     cells.reserve(columns_.size());
-    for (const auto& col : columns_) cells.push_back(col->GetValue(r).ToString());
+    for (const Value& v : Row(r)) cells.push_back(v.ToString());
     os << "| " << Join(cells, " | ") << " |\n";
   }
   os << "(" << num_rows_ << " rows)\n";

@@ -6,17 +6,13 @@
 // copies via shared_ptr with copy-on-write (a Table copy is O(#columns);
 // columns are cloned only when mutated). Schema-evolution ops
 // (DropColumn/RenameColumn/AddColumn) are column-pointer operations, not
-// per-row splices. The historical row API (`rows()`, Insert of Tuples)
-// remains as a facade: `rows()` materializes a row cache lazily (guarded by
-// a mutex so concurrent const readers are safe) and every mutation
-// invalidates it. New code on hot paths should use the columnar accessors.
+// per-row splices. Tuples cross the boundary one row at a time: Insert
+// appends one, Row(r) assembles one from the columns.
 
 #ifndef EVE_STORAGE_TABLE_H_
 #define EVE_STORAGE_TABLE_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -31,18 +27,10 @@ class Table {
   Table() = default;
   explicit Table(Schema schema);
 
-  // Copies share column chunks (copy-on-write); the row cache is not
-  // copied.
-  Table(const Table& other);
-  Table& operator=(const Table& other);
-  Table(Table&& other) noexcept;
-  Table& operator=(Table&& other) noexcept;
-
   const Schema& schema() const { return schema_; }
 
-  // Legacy row facade: materializes (and caches) all rows as Tuples.
-  // Thread-safe for concurrent const callers; invalidated by any mutation.
-  const std::vector<Tuple>& rows() const;
+  // Row `r` assembled from the columns, in schema attribute order.
+  Tuple Row(size_t r) const;
 
   size_t NumRows() const { return num_rows_; }
   size_t NumColumns() const { return columns_.size(); }
@@ -113,9 +101,6 @@ class Table {
   // with another table (copy-on-write).
   ColumnChunk& MutableColumn(size_t i);
 
-  void InvalidateRowCache();
-  void InvalidateDerived();  // drop row cache + sortedness flag
-
   // Three-way row comparison across all columns (TupleLess semantics).
   static int CompareTableRows(const Table& a, size_t ra, const Table& b,
                               size_t rb);
@@ -130,12 +115,6 @@ class Table {
   std::vector<std::shared_ptr<const ColumnChunk>> columns_;
   size_t num_rows_ = 0;
   bool dedup_sorted_ = false;
-
-  mutable std::mutex row_cache_mu_;
-  // Atomic so mutators can skip the lock when no cache exists (the common
-  // case on bulk loads).
-  mutable std::atomic<bool> row_cache_valid_{false};
-  mutable std::vector<Tuple> row_cache_;
 };
 
 }  // namespace eve

@@ -173,9 +173,9 @@ TEST_F(ExecutorTest, PredicatePushdownMatchesUnpushedSemantics) {
   EXPECT_EQ(a.NumRows(), 2u);
 }
 
-// --- Hash-join strategy parity -----------------------------------------------
+// --- Vectorized strategy parity ----------------------------------------------
 
-TEST_F(ExecutorTest, HashJoinMatchesNestedLoopOnEquiJoin) {
+TEST_F(ExecutorTest, VectorizedJoinMatchesNestedLoopOnEquiJoin) {
   ConjunctiveQuery query;
   query.relations = {"R", "S"};
   query.conjuncts = {Expr::ColumnsEqual({"R", "id"}, {"S", "rid"})};
@@ -184,13 +184,13 @@ TEST_F(ExecutorTest, HashJoinMatchesNestedLoopOnEquiJoin) {
   const Table nested = Execute(query, db_, catalog_, nullptr,
                                JoinStrategy::kNestedLoop)
                            .value();
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
-  EXPECT_TRUE(nested.SetEquals(hashed));
-  EXPECT_EQ(hashed.NumRows(), 3u);
+  const Table vectorized =
+      Execute(query, db_, catalog_, nullptr, JoinStrategy::kVectorized).value();
+  EXPECT_TRUE(nested.SetEquals(vectorized));
+  EXPECT_EQ(vectorized.NumRows(), 3u);
 }
 
-TEST_F(ExecutorTest, HashJoinHandlesFiltersAndFlippedConjuncts) {
+TEST_F(ExecutorTest, VectorizedJoinHandlesFiltersAndFlippedConjuncts) {
   ConjunctiveQuery query;
   query.relations = {"R", "S"};
   // Flipped orientation (S on the left) plus a filter on each relation.
@@ -202,23 +202,23 @@ TEST_F(ExecutorTest, HashJoinHandlesFiltersAndFlippedConjuncts) {
   query.projections = {Col("R", "name"), Col("S", "tag")};
   query.output_names = {"name", "tag"};
   const Table nested = Execute(query, db_, catalog_).value();
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
-  EXPECT_TRUE(nested.SetEquals(hashed));
+  const Table vectorized =
+      Execute(query, db_, catalog_, nullptr, JoinStrategy::kVectorized).value();
+  EXPECT_TRUE(nested.SetEquals(vectorized));
 }
 
-TEST_F(ExecutorTest, HashJoinCartesianFallback) {
+TEST_F(ExecutorTest, VectorizedJoinCartesianFallback) {
   ConjunctiveQuery query;
   query.relations = {"R", "S"};
   query.projections = {Col("R", "id"), Col("S", "rid")};
   query.output_names = {"a", "b"};
   query.distinct = false;
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
-  EXPECT_EQ(hashed.NumRows(), 16u);
+  const Table vectorized =
+      Execute(query, db_, catalog_, nullptr, JoinStrategy::kVectorized).value();
+  EXPECT_EQ(vectorized.NumRows(), 16u);
 }
 
-TEST_F(ExecutorTest, HashJoinNullKeysNeverMatch) {
+TEST_F(ExecutorTest, VectorizedJoinNullKeysNeverMatch) {
   ASSERT_TRUE(db_.Insert("R", {Value::Null(), Value::String("ghost")}).ok());
   ASSERT_TRUE(db_.Insert("S", {Value::Null(), Value::String("ghost")}).ok());
   ConjunctiveQuery query;
@@ -227,15 +227,15 @@ TEST_F(ExecutorTest, HashJoinNullKeysNeverMatch) {
   query.projections = {Col("R", "name"), Col("S", "tag")};
   query.output_names = {"name", "tag"};
   const Table nested = Execute(query, db_, catalog_).value();
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
-  EXPECT_TRUE(nested.SetEquals(hashed));
-  for (const Tuple& row : hashed.rows()) {
-    EXPECT_NE(row[1].string_value(), "ghost");
+  const Table vectorized =
+      Execute(query, db_, catalog_, nullptr, JoinStrategy::kVectorized).value();
+  EXPECT_TRUE(nested.SetEquals(vectorized));
+  for (size_t r = 0; r < vectorized.NumRows(); ++r) {
+    EXPECT_NE(vectorized.Row(r)[1].string_value(), "ghost");
   }
 }
 
-TEST_F(ExecutorTest, HashJoinNonEquiConjunctBecomesPostFilter) {
+TEST_F(ExecutorTest, VectorizedJoinNonEquiConjunctBecomesPostFilter) {
   ConjunctiveQuery query;
   query.relations = {"R", "S"};
   query.conjuncts = {
@@ -244,20 +244,20 @@ TEST_F(ExecutorTest, HashJoinNonEquiConjunctBecomesPostFilter) {
   query.projections = {Col("R", "id")};
   query.output_names = {"id"};
   const Table nested = Execute(query, db_, catalog_).value();
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
-  EXPECT_TRUE(nested.SetEquals(hashed));
-  EXPECT_EQ(hashed.NumRows(), 0u);  // id = rid contradicts id < rid
+  const Table vectorized =
+      Execute(query, db_, catalog_, nullptr, JoinStrategy::kVectorized).value();
+  EXPECT_TRUE(nested.SetEquals(vectorized));
+  EXPECT_EQ(vectorized.NumRows(), 0u);  // id = rid contradicts id < rid
 }
 
-TEST_F(ExecutorTest, HashJoinRejectsForeignConjuncts) {
+TEST_F(ExecutorTest, VectorizedJoinRejectsForeignConjuncts) {
   ConjunctiveQuery query;
   query.relations = {"R"};
   query.conjuncts = {Expr::ColumnsEqual({"R", "id"}, {"S", "rid"})};
   query.projections = {Col("R", "id")};
   query.output_names = {"id"};
   EXPECT_FALSE(
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).ok());
+      Execute(query, db_, catalog_, nullptr, JoinStrategy::kVectorized).ok());
 }
 
 TEST_F(ExecutorTest, ThreeWayJoin) {
@@ -279,13 +279,13 @@ TEST_F(ExecutorTest, ThreeWayJoin) {
   const Table result = Execute(query, db_, catalog_).value();
   EXPECT_EQ(result.NumRows(), 2u);  // (n1,10), (n2,20)
   // Strategy parity on the three-way join.
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
-  EXPECT_TRUE(result.SetEquals(hashed));
+  const Table vectorized =
+      Execute(query, db_, catalog_, nullptr, JoinStrategy::kVectorized).value();
+  EXPECT_TRUE(result.SetEquals(vectorized));
 }
 
-TEST_F(ExecutorTest, HashJoinCompositeKey) {
-  // Two equi-join conjuncts between the same pair: a composite hash key.
+TEST_F(ExecutorTest, VectorizedJoinCompositeKey) {
+  // Two equi-join conjuncts between the same pair: a composite join key.
   RelationDef v;
   v.source = "IS5";
   v.name = "V";
@@ -304,11 +304,11 @@ TEST_F(ExecutorTest, HashJoinCompositeKey) {
                        Expr::Column(AttributeRef{"S", "tag"})};
   query.output_names = {"rid", "tag"};
   const Table nested = Execute(query, db_, catalog_).value();
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
-  EXPECT_TRUE(nested.SetEquals(hashed));
+  const Table vectorized =
+      Execute(query, db_, catalog_, nullptr, JoinStrategy::kVectorized).value();
+  EXPECT_TRUE(nested.SetEquals(vectorized));
   // Only (1, t1) and (2, t2) match on BOTH columns.
-  EXPECT_EQ(hashed.NumRows(), 2u);
+  EXPECT_EQ(vectorized.NumRows(), 2u);
 }
 
 TEST_F(ExecutorTest, StrategyParityOnRandomData) {
@@ -330,10 +330,10 @@ TEST_F(ExecutorTest, StrategyParityOnRandomData) {
   query.projections = {Col("R", "name"), Col("U", "p")};
   query.output_names = {"name", "p"};
   const Table nested = Execute(query, db_, catalog_).value();
-  const Table hashed =
-      Execute(query, db_, catalog_, nullptr, JoinStrategy::kHash).value();
-  EXPECT_TRUE(nested.SetEquals(hashed));
-  EXPECT_GT(hashed.NumRows(), 0u);
+  const Table vectorized =
+      Execute(query, db_, catalog_, nullptr, JoinStrategy::kVectorized).value();
+  EXPECT_TRUE(nested.SetEquals(vectorized));
+  EXPECT_GT(vectorized.NumRows(), 0u);
 }
 
 }  // namespace

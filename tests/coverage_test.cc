@@ -266,7 +266,7 @@ TEST(ExecutorEdgeTest, EmptyBaseTableGivesEmptyResult) {
       mkb.catalog())
                                   .value();
   for (const JoinStrategy strategy :
-       {JoinStrategy::kNestedLoop, JoinStrategy::kHash}) {
+       {JoinStrategy::kNestedLoop, JoinStrategy::kVectorized}) {
     const Table result =
         EvaluateView(view, db, mkb.catalog(), nullptr, strategy).value();
     EXPECT_EQ(result.NumRows(), 0u);
@@ -287,9 +287,9 @@ TEST(ExecutorEdgeTest, LiteralOnlyWhereClause) {
                                    .value();
   EXPECT_EQ(EvaluateView(always, db, mkb.catalog()).value().NumRows(), 5u);
   EXPECT_EQ(EvaluateView(never, db, mkb.catalog()).value().NumRows(), 0u);
-  // Hash strategy agrees.
+  // The vectorized strategy agrees.
   EXPECT_EQ(EvaluateView(never, db, mkb.catalog(), nullptr,
-                         JoinStrategy::kHash)
+                         JoinStrategy::kVectorized)
                 .value()
                 .NumRows(),
             0u);
@@ -309,8 +309,8 @@ TEST(ExecutorEdgeTest, NullsInProjection) {
                                   .value();
   const Table result = EvaluateView(view, db, mkb.catalog()).value();
   ASSERT_EQ(result.NumRows(), 1u);
-  EXPECT_TRUE(result.rows()[0][0].is_null());
-  EXPECT_EQ(result.rows()[0][1], Value::Int(4));
+  EXPECT_TRUE(result.Row(0)[0].is_null());
+  EXPECT_EQ(result.Row(0)[1], Value::Int(4));
 }
 
 // --- RMapping with duplicate JC alternatives ----------------------------------

@@ -2,13 +2,13 @@
 // maintenance:
 //  * randomized conjunctive queries (joins, 3VL predicates, expression
 //    projections, NULL-heavy data) must produce byte-identical result
-//    tables under kNestedLoop (the oracle), kHash, kVectorized and kAuto;
+//    tables under kNestedLoop (the oracle) and kVectorized;
 //  * MaterializedViewStore::IncrementalRefresh must produce an extent
-//    byte-identical (after Deduplicate) to a full Refresh for every CVS
-//    verdict — Equal (wholesale reuse, incl. permuted interfaces),
-//    Superset (dropped-condition deltas, incl. NULL rows the partition
-//    rule must not lose), Subset (added-condition filter over the stored
-//    extent) and Unknown (full-recompute fallback).
+//    byte-identical (after Deduplicate) to a full nested-loop Refresh for
+//    every CVS verdict — Equal (wholesale reuse, incl. permuted
+//    interfaces), Superset (dropped-condition deltas, incl. NULL rows the
+//    partition rule must not lose), Subset (added-condition filter over
+//    the stored extent) and Unknown (full-recompute fallback).
 
 #include <gtest/gtest.h>
 
@@ -226,19 +226,11 @@ TEST(ExecutorEquivalenceTest, RandomizedDifferentialAcrossStrategies) {
     const Result<Table> oracle =
         Execute(query, db, catalog, nullptr, JoinStrategy::kNestedLoop);
     ASSERT_TRUE(oracle.ok()) << "seed " << seed << ": " << oracle.status();
-    for (const JoinStrategy strategy :
-         {JoinStrategy::kHash, JoinStrategy::kVectorized,
-          JoinStrategy::kAuto}) {
-      const Result<Table> got =
-          Execute(query, db, catalog, nullptr, strategy);
-      ASSERT_TRUE(got.ok()) << "seed " << seed << " strategy "
-                            << JoinStrategyToString(strategy) << ": "
-                            << got.status();
-      ExpectTablesIdentical(
-          got.value(), oracle.value(),
-          "seed " + std::to_string(seed) + " strategy " +
-              JoinStrategyToString(strategy));
-    }
+    const Result<Table> got =
+        Execute(query, db, catalog, nullptr, JoinStrategy::kVectorized);
+    ASSERT_TRUE(got.ok()) << "seed " << seed << ": " << got.status();
+    ExpectTablesIdentical(got.value(), oracle.value(),
+                          "seed " + std::to_string(seed));
   }
 }
 
@@ -252,29 +244,13 @@ TEST(ExecutorEquivalenceTest, CartesianFallbackBumpsCounter) {
   q.output_names = {"W", "U"};
   GlobalExecutorCounters().Reset();
   for (const JoinStrategy strategy :
-       {JoinStrategy::kHash, JoinStrategy::kVectorized}) {
+       {JoinStrategy::kNestedLoop, JoinStrategy::kVectorized}) {
     ASSERT_TRUE(Execute(q, db, catalog, nullptr, strategy).ok());
   }
-  EXPECT_EQ(GlobalExecutorCounters().cartesian_fallbacks.load(), 2u);
-  EXPECT_EQ(GlobalExecutorCounters().hash_queries.load(), 1u);
-  EXPECT_EQ(GlobalExecutorCounters().vectorized_queries.load(), 1u);
-}
-
-TEST(ExecutorEquivalenceTest, AutoRoutesByInputSize) {
-  const Catalog catalog = MakeCatalog();
-  std::mt19937_64 rng(7);
-  // Small inputs -> hash; >= 256-row largest input -> vectorized.
-  const Database small = MakeDatabase(catalog, &rng, 50, 10, 4);
-  const Database large = MakeDatabase(catalog, &rng, 400, 10, 4);
-  ConjunctiveQuery q;
-  q.relations = {"R"};
-  q.projections = {Col("R", "p")};
-  q.output_names = {"P"};
-  GlobalExecutorCounters().Reset();
-  ASSERT_TRUE(Execute(q, small, catalog, nullptr, JoinStrategy::kAuto).ok());
-  EXPECT_EQ(GlobalExecutorCounters().hash_queries.load(), 1u);
-  EXPECT_EQ(GlobalExecutorCounters().vectorized_queries.load(), 0u);
-  ASSERT_TRUE(Execute(q, large, catalog, nullptr, JoinStrategy::kAuto).ok());
+  // Only the vectorized path has a cartesian fallback to count; the
+  // oracle's nested loops are cartesian by construction.
+  EXPECT_EQ(GlobalExecutorCounters().cartesian_fallbacks.load(), 1u);
+  EXPECT_EQ(GlobalExecutorCounters().nested_loop_queries.load(), 1u);
   EXPECT_EQ(GlobalExecutorCounters().vectorized_queries.load(), 1u);
 }
 
@@ -391,6 +367,7 @@ TEST(IncrementalRefreshTest, MatchesFullRefreshForEveryVerdict) {
       EXPECT_EQ(incremental.StatsFor("v").last_path, c.want_path) << context;
 
       MaterializedViewStore full;
+      full.SetStrategy(JoinStrategy::kNestedLoop);
       ASSERT_TRUE(full.Refresh(c.new_view, db, catalog).ok()) << context;
       ExpectTablesIdentical(*incremental.Extent("v").value(),
                             *full.Extent("v").value(), context);
@@ -437,7 +414,7 @@ TEST(IncrementalRefreshTest, RandomizedConditionSubsets) {
                                   " seed " + std::to_string(seed);
 
       MaterializedViewStore incremental;
-      incremental.SetStrategy(JoinStrategy::kAuto);
+      incremental.SetStrategy(JoinStrategy::kVectorized);
       ASSERT_TRUE(incremental.Refresh(old_view, db, catalog).ok()) << context;
       ASSERT_TRUE(incremental
                       .IncrementalRefresh(old_view, new_view, verdict, db,
@@ -446,6 +423,7 @@ TEST(IncrementalRefreshTest, RandomizedConditionSubsets) {
           << context;
 
       MaterializedViewStore full;
+      full.SetStrategy(JoinStrategy::kNestedLoop);
       ASSERT_TRUE(full.Refresh(new_view, db, catalog).ok()) << context;
       ExpectTablesIdentical(*incremental.Extent("v").value(),
                             *full.Extent("v").value(), context);

@@ -182,20 +182,23 @@ TEST(TravelAgencyDatabaseTest, ConstraintConsistentPopulation) {
   // PC-AI: every Customer.Name appears in Accident-Ins.Holder.
   const Table& customer = *db.GetTable("Customer").value();
   const Table& insurance = *db.GetTable("Accident-Ins").value();
-  for (const Tuple& row : customer.rows()) {
+  for (size_t c = 0; c < customer.NumRows(); ++c) {
+    const Tuple row = customer.Row(c);
     bool found = false;
-    for (const Tuple& ins : insurance.rows()) {
-      if (ins[0] == row[0]) found = true;
+    for (size_t i = 0; i < insurance.NumRows(); ++i) {
+      if (insurance.Row(i)[0] == row[0]) found = true;
     }
     EXPECT_TRUE(found) << row[0].ToString();
   }
   // F3 holds: age reproduces from birthday.
   const Date today = Date::FromYmd(2026, 7, 7).value();
-  for (const Tuple& ins : insurance.rows()) {
+  for (size_t i = 0; i < insurance.NumRows(); ++i) {
+    const Tuple ins = insurance.Row(i);
     const int64_t days =
         today.days_since_epoch() - ins[3].date_value().days_since_epoch();
     bool found_customer = false;
-    for (const Tuple& row : customer.rows()) {
+    for (size_t c = 0; c < customer.NumRows(); ++c) {
+      const Tuple row = customer.Row(c);
       if (row[0] == ins[0]) {
         EXPECT_EQ(days / 365, row[3].int_value());
         found_customer = true;

@@ -64,13 +64,8 @@
 //                                            block, per-view truncation list
 //                                            and admission counters for the
 //                                            last change/preview
-//   SET EXECUTOR <strategy>;              -- join/executor strategy for view
-//                                            evaluation on every shard:
-//                                            NESTED_LOOP, HASH, VECTORIZED
-//                                            or AUTO
-//   SHOW EXECUTOR STATS;                  -- configured strategy + process-
-//                                            wide executor counters (per-
-//                                            strategy query counts and
+//   SHOW EXECUTOR STATS;                  -- process-wide executor counters
+//                                            (per-strategy query counts and
 //                                            cartesian fallbacks)
 //   PREVIEW DELETE RELATION <name>;       -- what-if: report without applying
 //   SYNC DRYRUN DELETE|RENAME ... [AT VERSION <n>];
