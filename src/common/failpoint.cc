@@ -97,9 +97,6 @@ const std::vector<std::string>& Failpoints::KnownSites() {
       fp::kRollbackAfterRestore,
       fp::kVersionScrub,
       fp::kShardedCommitShard,
-      fp::kShardedPublish,
-      fp::kShardedCheckpointManifest,
-      fp::kShardedJournalReset,
       fp::kNetAccept,
       fp::kNetSessionStart,
       fp::kNetFrameRead,

@@ -100,22 +100,11 @@ inline constexpr char kRollbackBeforeJournal[] = "eve.rollback.before_journal";
 inline constexpr char kRollbackAfterJournal[] = "eve.rollback.after_journal";
 inline constexpr char kRollbackAfterRestore[] = "eve.rollback.after_restore";
 inline constexpr char kVersionScrub[] = "mkb.version_store.scrub";
-// Sharded-system sites (eve/sharded_system.h). commit_shard fires before
-// EACH shard's commit in the cross-shard fan-out — a crash there leaves the
-// change journaled on a prefix of the shard journals, and recovery's
-// cross-shard barrier must truncate every shard back to the pre-change
-// state. publish fires after every shard committed, before the epoch
-// pointer swap: a crash there recovers to the post state (all journals
-// carry the change). The checkpoint sites bracket the two crash windows of
-// the multi-file checkpoint protocol: manifest fires before the manifest
-// rename (old generation must win), reset fires between the per-shard
-// journal resets (stale journals must be superseded by the new manifest
-// generation's epoch markers).
+// Sharded-system site (eve/sharded_system.h): fires before EACH shard's
+// commit in the cross-shard fan-out. Past shard 0 a prefix of the replicas
+// already committed the change, so an error there must poison the system
+// (ShardedSystemTest.CommitPhaseFailureOnLaterShardPoisons arms it).
 inline constexpr char kShardedCommitShard[] = "eve.sharded.commit_shard";
-inline constexpr char kShardedPublish[] = "eve.sharded.publish";
-inline constexpr char kShardedCheckpointManifest[] =
-    "eve.sharded.checkpoint.manifest";
-inline constexpr char kShardedJournalReset[] = "eve.sharded.checkpoint.reset";
 // Network front-end sites (net/server.h). accept fires per accepted
 // connection (error = the connection is refused and closed, the server
 // keeps serving); session_start fires after the session object is created

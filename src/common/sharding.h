@@ -1,7 +1,7 @@
-// Stable view-name sharding: the hash is part of the durable format (a
-// view's shard owns its journal records and checkpoint section), so it must
-// never change across platforms, compilers or releases. FNV-1a over the raw
-// bytes gives that stability; std::hash does not.
+// Stable view-name sharding: a given pool must land on the same shards on
+// every platform, compiler and release (per-shard state, SHOW SHARD STATS
+// and the shard benches depend on it). FNV-1a over the raw bytes gives that
+// stability; std::hash does not.
 
 #ifndef EVE_COMMON_SHARDING_H_
 #define EVE_COMMON_SHARDING_H_
@@ -11,8 +11,7 @@
 
 namespace eve {
 
-// 64-bit FNV-1a. Deterministic across platforms; never reorder or reseed —
-// per-shard journals and checkpoints address views by this hash.
+// 64-bit FNV-1a. Deterministic across platforms; never reorder or reseed.
 constexpr uint64_t StableHash64(std::string_view bytes) {
   uint64_t hash = 0xcbf29ce484222325ull;  // FNV offset basis
   for (const char c : bytes) {

@@ -1235,11 +1235,6 @@ Status EveSystem::ReplayRecord(const JournalRecord& record) {
       }
       return RegisterViewsBulk(batch);
     }
-    case JournalRecordKind::kJournalEpoch:
-      // Checkpoint-generation marker: consumed by the sharded recovery
-      // barrier before replay; reaching a single-system replay it is a
-      // no-op (the records after it are the live tail).
-      return Status::OK();
     case JournalRecordKind::kSetViewState: {
       std::string state_word, name;
       EVE_RETURN_IF_ERROR(SplitRecordBody(record.body, &state_word, &name));

@@ -501,7 +501,7 @@ class EveSystem {
 
  private:
   // The sharded serving core (eve/sharded_system.h) drives the
-  // prepare/commit split and per-shard internals directly.
+  // prepare/commit split directly.
   friend class ShardedEveSystem;
   // The incremental replay loop (eve/journal.h) feeds ReplayRecord one
   // record at a time — recovery and replication replicas share it.

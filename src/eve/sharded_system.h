@@ -8,9 +8,8 @@
 // therefore runs the expensive CVS synchronization only on the shard(s)
 // owning affected views; on every other shard it is a cheap no-op commit,
 // so a change's cost scales with its OWN shard's pool, not the whole
-// system's. Each shard has its own write-ahead journal and checkpoint
-// section, and its own reader/writer lock held exclusively only for the
-// short in-memory commit window (never during CVS).
+// system's. Each shard has its own reader/writer lock, held exclusively
+// only for the short in-memory commit window (never during CVS).
 //
 // Reads are served RCU-style: after every committed global operation the
 // coordinator publishes an immutable Snapshot (MKB tip + per-shard version
@@ -23,15 +22,12 @@
 // system holding just that partition would produce, and MergeReports
 // reconstructs the exact single-system report (unaffected outcomes in
 // name order, then affected outcomes in name order), so the merged report
-// is byte-identical at ANY shard count and drain parallelism.
+// is byte-identical at ANY shard count.
 //
-// Durability across N journals (docs/SHARDING.md): global operations fan
-// out one record per shard journal; recovery counts completed global units
-// per journal and truncates every journal to the longest prefix present on
-// ALL shards (the cross-shard barrier), so the system deterministically
-// recovers to the pre- or post-state of the interrupted operation, never a
-// mixed state. Checkpoints are made atomic across the N section files by a
-// manifest rename plus per-journal generation markers (kJournalEpoch).
+// Sharding is in-memory only. Durability is the single journal of a
+// 1-shard system (eve/journal.h): the console refuses JOURNAL, CHECKPOINT,
+// RECOVER and every other durable statement unless SET SHARDS 1
+// (docs/SHARDING.md).
 
 #ifndef EVE_EVE_SHARDED_SYSTEM_H_
 #define EVE_EVE_SHARDED_SYSTEM_H_
@@ -48,7 +44,6 @@
 #include "common/result.h"
 #include "common/sharding.h"
 #include "eve/eve_system.h"
-#include "eve/journal.h"
 
 namespace eve {
 
@@ -94,9 +89,9 @@ class ShardedEveSystem {
   ShardedEveSystem(ShardedEveSystem&&) = default;
   ShardedEveSystem& operator=(ShardedEveSystem&&) = default;
 
-  // Repartitions into `n` shards. Only allowed while the pool is empty and
-  // no journals are attached — the hash placement of already-registered
-  // views (and their journal records) cannot be rewritten in place.
+  // Repartitions into `n` shards. Only allowed while the pool is empty —
+  // the hash placement of already-registered views cannot be rewritten in
+  // place.
   Status SetShardCount(size_t n);
   size_t shard_count() const { return shards_.size(); }
 
@@ -142,8 +137,7 @@ class ShardedEveSystem {
   // --- Mutations (single coordinator thread) -------------------------------
   //
   // All mutating calls must come from one coordinator thread at a time
-  // (readers are lock-free against them). DrainSyncQueueParallel spawns
-  // its own per-shard workers internally.
+  // (readers are lock-free against them).
 
   // MKB evolution, fanned out to every replica in order.
   Status ExtendMkb(std::string_view misd_text);
@@ -152,8 +146,8 @@ class ShardedEveSystem {
   // View registration, routed to the owning shard.
   Status RegisterView(const ViewDefinition& view);
   Status RegisterViewText(std::string_view text);
-  // Partitions the batch by owning shard; one journal record and one
-  // version commit per shard touched.
+  // Partitions the batch by owning shard; one version commit per shard
+  // touched.
   Status RegisterViewsBulk(const std::vector<ViewDefinition>& views);
   Status SetViewState(const std::string& name, ViewState state);
 
@@ -162,11 +156,6 @@ class ShardedEveSystem {
   // then commit shard by shard in index order. The merged report is
   // byte-identical to the single-system report for the same pool.
   Result<ChangeReport> ApplyChange(const CapabilityChange& change);
-
-  // Transactional batch across shards: per-shard journal batch brackets,
-  // all-shards rollback on failure.
-  Result<std::vector<ChangeReport>> ApplyChanges(
-      const std::vector<CapabilityChange>& changes);
 
   // --- Admission -----------------------------------------------------------
   //
@@ -181,12 +170,6 @@ class ShardedEveSystem {
   Status EnqueueChange(const CapabilityChange& change);
   // FIFO drain on the calling thread, one cross-shard commit per change.
   Result<std::vector<ChangeReport>> DrainSyncQueue();
-  // One worker per shard: each applies the SAME queued change stream in
-  // order to its own shard (prepare outside the shard lock, commit under
-  // it), so changes whose affected views land on different shards run
-  // their synchronizations concurrently. Reports are merged after the
-  // join — byte-identical to the sequential drain's.
-  Result<std::vector<ChangeReport>> DrainSyncQueueParallel();
   size_t queued_changes() const {
     std::lock_guard<std::mutex> lock(*admission_mu_);
     return sync_queue_.size();
@@ -202,36 +185,9 @@ class ShardedEveSystem {
   std::string RenderShardStats() const;
 
   // A commit-phase failure left the replicas potentially diverged; every
-  // further mutation is refused until the system is recovered from its
-  // journals (which re-converges the replicas deterministically).
+  // further mutation is refused. The way out is a rebuild from an MKB
+  // (LOAD MISD replaces the whole system).
   bool poisoned() const { return poisoned_; }
-
-  // --- Durability ----------------------------------------------------------
-
-  // Opens (creating if absent) and attaches one journal per shard:
-  // "<wal_base>.shard<i>". The journals are owned by this object.
-  Status AttachJournals(const std::string& wal_base);
-  void DetachJournals();
-  bool journals_attached() const { return !wal_base_.empty(); }
-
-  // Checkpoints every shard and resets the journals, atomically across the
-  // N files: per-shard section files "<ckpt_base>.shard<i>.g<G>" are
-  // written first, then the manifest "<ckpt_base>.manifest" rename commits
-  // generation G, then each journal is reset and stamped with a
-  // kJournalEpoch(G) record. A crash before the manifest rename keeps
-  // generation G-1; a crash after it leaves stale journals that recovery
-  // detects by their missing epoch marker.
-  Status WriteShardedCheckpoint(const std::string& ckpt_base);
-
-  // Rebuilds the system from the manifest + per-shard checkpoints +
-  // per-shard journals. Applies the cross-shard barrier (truncate every
-  // journal to the longest globally-complete prefix), then replays each
-  // shard — in parallel when `parallel_replay` is set, serially otherwise;
-  // both produce byte-identical state (asserted in tests). The recovered
-  // system has no journals attached.
-  static Result<ShardedEveSystem> RecoverShardedFromFiles(
-      const std::string& ckpt_base, const std::string& wal_base,
-      RecoveryReport* report = nullptr, bool parallel_replay = true);
 
  private:
   struct Shard {
@@ -239,14 +195,8 @@ class ShardedEveSystem {
     EveSystem system;
     // Exclusive only for the in-memory commit window; readers share.
     mutable std::shared_mutex mu;
-    std::unique_ptr<Journal> journal;
     uint64_t commits = 0;
   };
-
-  ShardedEveSystem() = default;  // recovery assembles shards directly
-
-  // Cross-shard prepare-all/commit-all for one change; does NOT publish.
-  Result<ChangeReport> ApplyChangeNoPublish(const CapabilityChange& change);
 
   // Reconstructs the single-system report from the per-shard reports:
   // unaffected outcomes (name order), then affected outcomes (name
@@ -254,17 +204,13 @@ class ShardedEveSystem {
   static Result<ChangeReport> MergeReports(
       const std::vector<ChangeReport>& per_shard);
 
-  // Re-renders every replica's MKB and fails if any diverges from shard 0.
-  Status CheckReplicaConvergence() const;
-
   std::vector<std::unique_ptr<Shard>> shards_;
   // Behind unique_ptr: the atomic inside EpochPtr pins it in place, while
-  // ShardedEveSystem itself stays movable (Result returns).
+  // ShardedEveSystem itself stays movable (LOAD MISD move-assigns a fresh
+  // system).
   std::unique_ptr<EpochPtr<ShardedSnapshot>> published_ =
       std::make_unique<EpochPtr<ShardedSnapshot>>();
   uint64_t epoch_ = 0;
-  std::string wal_base_;
-  uint64_t checkpoint_generation_ = 0;
   size_t sync_queue_limit_ = 0;
   std::deque<CapabilityChange> sync_queue_;
   AdmissionStats admission_stats_;
@@ -277,24 +223,6 @@ class ShardedEveSystem {
   std::shared_ptr<std::mutex> drain_mu_ = std::make_shared<std::mutex>();
   bool poisoned_ = false;
 };
-
-// --- Cross-shard journal barrier (exposed for tests) ------------------------
-
-// The number of COMPLETED global units in one shard journal's record list.
-// A global unit is one globally-ordered operation that fans out to every
-// shard journal: a kApplyChange / kExtendMkb / kRetractConstraint /
-// kRollback record outside a batch, or one whole batch (counted at its
-// kCommitBatch / kAbortBatch marker). Shard-local records (registrations,
-// view-state flips, membership rows, version markers, epoch markers) pass
-// through uncounted.
-size_t CompletedGlobalUnits(const std::vector<JournalRecord>& records);
-
-// The record-count prefix of `records` containing exactly `units`
-// completed global units plus any trailing shard-local records before the
-// next unit begins. Truncating every shard journal to its own
-// PrefixEndForUnits(min over shards) is the cross-shard recovery barrier.
-size_t PrefixEndForUnits(const std::vector<JournalRecord>& records,
-                         size_t units);
 
 }  // namespace eve
 

@@ -126,6 +126,9 @@ class Console {
   bool SnapshotShow(const std::vector<std::string>& words, std::ostream& out,
                     std::ostream& err) const;
 
+  // Sharding is in-memory only; the one journal, checkpoint and version
+  // chain belong to shard 0 of a 1-shard system. Every statement that
+  // reads or writes durable state passes this gate (docs/SHARDING.md).
   bool RequireSingleShard(const std::string& what);
   bool SetShards(const std::string& value);
   bool LoadMisd(const std::string& path);

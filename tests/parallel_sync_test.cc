@@ -339,9 +339,9 @@ TEST(ParallelSyncTest, PreviewChangeSharesThePoolSafely) {
 }
 
 // The sharded serving core must keep the determinism contract at every
-// (shard count × sync parallelism × drain mode) point: the same queued
-// change stream produces byte-identical per-shard state and byte-identical
-// merged reports.
+// (shard count × sync parallelism) point: the same queued change stream
+// produces byte-identical per-shard state and byte-identical merged
+// reports.
 ShardedEveSystem MakeShardedBatchSystem(size_t num_views, size_t shards) {
   ChainMkbSpec spec;
   spec.length = 48;
@@ -358,6 +358,16 @@ ShardedEveSystem MakeShardedBatchSystem(size_t num_views, size_t shards) {
   return system;
 }
 
+// Everything durable about each shard, concatenated in shard order.
+std::string ShardState(const ShardedEveSystem& system) {
+  std::string out;
+  for (size_t s = 0; s < system.shard_count(); ++s) {
+    out += "== shard " + std::to_string(s) + "\n" +
+           SaveMkb(system.shard(s).mkb()) + SaveViews(system.shard(s));
+  }
+  return out;
+}
+
 TEST(ParallelSyncTest, ShardedDrainIsDeterministicAcrossShardsAndThreads) {
   const std::vector<CapabilityChange> stream = {
       CapabilityChange::DeleteAttribute("R1", "P1"),
@@ -370,84 +380,63 @@ TEST(ParallelSyncTest, ShardedDrainIsDeterministicAcrossShardsAndThreads) {
   std::map<size_t, std::string> reference_shards;  // per-shard, per count
   for (const size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
     for (const size_t threads : {size_t{1}, size_t{8}}) {
-      for (const bool parallel_drain : {false, true}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) +
-                     " threads=" + std::to_string(threads) +
-                     (parallel_drain ? " par" : " seq"));
-        ShardedEveSystem system = MakeShardedBatchSystem(24, shards);
-        system.SetSyncParallelism(threads);
-        for (const CapabilityChange& change : stream) {
-          ASSERT_TRUE(system.EnqueueChange(change).ok());
-        }
-        const Result<std::vector<ChangeReport>> reports =
-            parallel_drain ? system.DrainSyncQueueParallel()
-                           : system.DrainSyncQueue();
-        ASSERT_TRUE(reports.ok()) << reports.status();
-        ASSERT_EQ(reports.value().size(), stream.size());
-        EXPECT_EQ(system.queued_changes(), 0u);
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      ShardedEveSystem system = MakeShardedBatchSystem(24, shards);
+      system.SetSyncParallelism(threads);
+      for (const CapabilityChange& change : stream) {
+        ASSERT_TRUE(system.EnqueueChange(change).ok());
+      }
+      const Result<std::vector<ChangeReport>> reports =
+          system.DrainSyncQueue();
+      ASSERT_TRUE(reports.ok()) << reports.status();
+      ASSERT_EQ(reports.value().size(), stream.size());
+      EXPECT_EQ(system.queued_changes(), 0u);
 
-        std::string merged;
-        for (const ChangeReport& report : reports.value()) {
-          merged += report.ToString() + "\n====\n";
-        }
-        std::string per_shard;
-        for (size_t s = 0; s < shards; ++s) {
-          per_shard += "== shard " + std::to_string(s) + "\n" +
-                       SaveMkb(system.shard(s).mkb()) +
-                       SaveViews(system.shard(s));
-        }
-        if (reference_reports.empty()) {
-          reference_reports = merged;
-        } else {
-          EXPECT_EQ(merged, reference_reports);
-        }
-        const auto it = reference_shards.find(shards);
-        if (it == reference_shards.end()) {
-          reference_shards[shards] = per_shard;
-        } else {
-          EXPECT_EQ(per_shard, it->second);
-        }
+      std::string merged;
+      for (const ChangeReport& report : reports.value()) {
+        merged += report.ToString() + "\n====\n";
+      }
+      if (reference_reports.empty()) {
+        reference_reports = merged;
+      } else {
+        EXPECT_EQ(merged, reference_reports);
+      }
+      const std::string per_shard = ShardState(system);
+      const auto it = reference_shards.find(shards);
+      if (it == reference_shards.end()) {
+        reference_shards[shards] = per_shard;
+      } else {
+        EXPECT_EQ(per_shard, it->second);
       }
     }
   }
 }
 
-TEST(ParallelSyncTest, ShardedParallelDrainStopsAtTheFailingChange) {
-  // A mid-stream prepare failure (unknown relation) must stop both drain
-  // modes at the same change, with the same error, the same applied
-  // prefix, and the remainder still queued.
+TEST(ParallelSyncTest, ShardedDrainStopsAtTheFailingChange) {
+  // A mid-stream prepare failure (unknown relation) stops the drain at
+  // that change: the change before it stays applied, the failing one is
+  // consumed, and the one after it is still queued.
   const std::vector<CapabilityChange> stream = {
       CapabilityChange::DeleteRelation("R1"),
       CapabilityChange::DeleteRelation("NoSuchRelation"),
       CapabilityChange::DeleteRelation("R30"),
   };
-  std::string sequential_state;
-  Status sequential_error;
-  for (const bool parallel_drain : {false, true}) {
-    SCOPED_TRACE(parallel_drain ? "par" : "seq");
-    ShardedEveSystem system = MakeShardedBatchSystem(24, 4);
-    for (const CapabilityChange& change : stream) {
-      ASSERT_TRUE(system.EnqueueChange(change).ok());
-    }
-    const Result<std::vector<ChangeReport>> reports =
-        parallel_drain ? system.DrainSyncQueueParallel()
-                       : system.DrainSyncQueue();
-    ASSERT_FALSE(reports.ok());
-    EXPECT_FALSE(system.poisoned());  // prepare failures abort cleanly
-    EXPECT_EQ(system.queued_changes(), 1u);  // R30 still waiting
-    EXPECT_EQ(system.admission_stats().failed, 1u);
-    std::string state;
-    for (size_t s = 0; s < system.shard_count(); ++s) {
-      state += SaveMkb(system.shard(s).mkb()) + SaveViews(system.shard(s));
-    }
-    if (!parallel_drain) {
-      sequential_state = state;
-      sequential_error = reports.status();
-    } else {
-      EXPECT_EQ(state, sequential_state);
-      EXPECT_EQ(reports.status(), sequential_error);
-    }
+  ShardedEveSystem system = MakeShardedBatchSystem(24, 4);
+  for (const CapabilityChange& change : stream) {
+    ASSERT_TRUE(system.EnqueueChange(change).ok());
   }
+  const Result<std::vector<ChangeReport>> reports = system.DrainSyncQueue();
+  ASSERT_FALSE(reports.ok());
+  EXPECT_FALSE(system.poisoned());  // prepare failures abort cleanly
+  EXPECT_EQ(system.queued_changes(), 1u);  // R30 still waiting
+  EXPECT_EQ(system.admission_stats().completed, 2u);
+  EXPECT_EQ(system.admission_stats().failed, 1u);
+
+  ShardedEveSystem expected = MakeShardedBatchSystem(24, 4);
+  ASSERT_TRUE(
+      expected.ApplyChange(CapabilityChange::DeleteRelation("R1")).ok());
+  EXPECT_EQ(ShardState(system), ShardState(expected));
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {

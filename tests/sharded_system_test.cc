@@ -1,15 +1,11 @@
 // ShardedEveSystem: hash routing, replica convergence, merged-report
 // byte-identity against the single-system reference, RCU snapshot
-// publication, poisoning on commit-phase divergence, per-shard
-// checkpoint/journal recovery with the cross-shard barrier, and
-// serial-vs-parallel recovery byte-identity. This binary runs under TSan
-// in CI (see PinnedSnapshotReadsAreStableDuringCommits).
+// publication, and poisoning on commit-phase divergence. This binary runs
+// under TSan in CI (see PinnedSnapshotReadsAreStableDuringCommits).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +13,6 @@
 #include "common/failpoint.h"
 #include "common/sharding.h"
 #include "eve/eve_system.h"
-#include "eve/journal.h"
 #include "eve/sharded_system.h"
 #include "eve/view_pool_io.h"
 #include "mkb/capability_change.h"
@@ -152,11 +147,11 @@ TEST(ShardedSystemTest, ReplicasConvergeAcrossEveryMutationKind) {
   ASSERT_TRUE(
       system.ApplyChange(CapabilityChange::DeleteRelation("R1")).ok());
   ASSERT_TRUE(system.RetractConstraint("JL4").ok());
-  ASSERT_TRUE(system
-                  .ApplyChanges({CapabilityChange::DeleteRelation("R20"),
-                                 CapabilityChange::RenameRelation("R25",
-                                                                  "R25x")})
-                  .ok());
+  ASSERT_TRUE(
+      system.ApplyChange(CapabilityChange::DeleteRelation("R20")).ok());
+  ASSERT_TRUE(
+      system.ApplyChange(CapabilityChange::RenameRelation("R25", "R25x"))
+          .ok());
   const std::string reference = SaveMkb(system.shard(0).mkb());
   for (size_t s = 1; s < 4; ++s) {
     EXPECT_EQ(SaveMkb(system.shard(s).mkb()), reference) << "shard " << s;
@@ -269,11 +264,14 @@ TEST(ShardedSystemTest, CommitPhaseFailureOnLaterShardPoisons) {
   Failpoints::Instance().Reset();
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(system.poisoned());
-  // Every further mutation is refused until recovery.
-  EXPECT_EQ(system.ApplyChange(CapabilityChange::DeleteRelation("R20"))
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
+  // Every further mutation is refused, and the refusal names the rebuild
+  // that exists: LOAD MISD replaces the whole system.
+  const Status refused =
+      system.ApplyChange(CapabilityChange::DeleteRelation("R20")).status();
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.message().find("rebuild it with LOAD MISD"),
+            std::string::npos)
+      << refused;
   EXPECT_EQ(system.ExtendMkb("SOURCE S RELATION Z (A int)").code(),
             StatusCode::kFailedPrecondition);
 }
@@ -289,180 +287,6 @@ TEST(ShardedSystemTest, PrepareFailureLeavesNothingCommittedAnywhere) {
       system.ApplyChange(CapabilityChange::DeleteRelation("NoSuch")).ok());
   EXPECT_FALSE(system.poisoned());
   EXPECT_EQ(SnapSharded(system), before);
-}
-
-class ShardedRecoveryTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    Failpoints::Instance().Reset();
-    const std::string base =
-        ::testing::TempDir() + "sharded_recovery_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ckpt_base_ = base + ".ckpt";
-    wal_base_ = base + ".wal";
-    RemoveFiles();
-  }
-  void TearDown() override {
-    Failpoints::Instance().Reset();
-    RemoveFiles();
-  }
-  void RemoveFiles() {
-    std::remove((ckpt_base_ + ".manifest").c_str());
-    for (size_t i = 0; i < 8; ++i) {
-      std::remove((wal_base_ + ".shard" + std::to_string(i)).c_str());
-      for (uint64_t g = 1; g <= 4; ++g) {
-        std::remove((ckpt_base_ + ".shard" + std::to_string(i) + ".g" +
-                     std::to_string(g))
-                        .c_str());
-      }
-    }
-  }
-
-  std::string ckpt_base_;
-  std::string wal_base_;
-};
-
-TEST_F(ShardedRecoveryTest, JournaledRunRecoversByteIdentically) {
-  const Mkb mkb = MakeMkb();
-  ShardedEveSystem system(mkb, {}, 4);
-  ASSERT_TRUE(system.AttachJournals(wal_base_).ok());
-  // Initial checkpoint: the constructor-seeded MKB is not journaled, so
-  // the journals replay on top of this generation.
-  ASSERT_TRUE(system.WriteShardedCheckpoint(ckpt_base_).ok());
-  RegisterPool(&system, mkb, 12);
-  ASSERT_TRUE(
-      system.ApplyChange(CapabilityChange::DeleteRelation("R1")).ok());
-  ASSERT_TRUE(system.WriteShardedCheckpoint(ckpt_base_).ok());
-  ASSERT_TRUE(
-      system.ApplyChange(CapabilityChange::DeleteRelation("R20")).ok());
-  ASSERT_TRUE(system.SetViewState("SV1", ViewState::kDisabled).ok());
-  const std::string expected = SnapSharded(system);
-
-  RecoveryReport report;
-  const Result<ShardedEveSystem> recovered =
-      ShardedEveSystem::RecoverShardedFromFiles(ckpt_base_, wal_base_,
-                                                &report);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_EQ(recovered.value().shard_count(), 4u);
-  EXPECT_EQ(SnapSharded(recovered.value()), expected);
-  EXPECT_NE(recovered.value().PinPublished(), nullptr);
-
-  // Recovery repaired the journals in place: a second recovery sees the
-  // same bytes and lands on the same state (idempotence).
-  const Result<ShardedEveSystem> again =
-      ShardedEveSystem::RecoverShardedFromFiles(ckpt_base_, wal_base_);
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(SnapSharded(again.value()), expected);
-}
-
-TEST_F(ShardedRecoveryTest, RecoveredSystemContinuesJournaling) {
-  const Mkb mkb = MakeMkb();
-  {
-    ShardedEveSystem system(mkb, {}, 4);
-    ASSERT_TRUE(system.AttachJournals(wal_base_).ok());
-    ASSERT_TRUE(system.WriteShardedCheckpoint(ckpt_base_).ok());
-    RegisterPool(&system, mkb, 12);
-    ASSERT_TRUE(
-        system.ApplyChange(CapabilityChange::DeleteRelation("R1")).ok());
-  }
-  Result<ShardedEveSystem> recovered =
-      ShardedEveSystem::RecoverShardedFromFiles(ckpt_base_, wal_base_);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  ShardedEveSystem system = recovered.MoveValue();
-  ASSERT_TRUE(system.AttachJournals(wal_base_).ok());
-  ASSERT_TRUE(
-      system.ApplyChange(CapabilityChange::DeleteRelation("R20")).ok());
-  const std::string expected = SnapSharded(system);
-
-  const Result<ShardedEveSystem> second =
-      ShardedEveSystem::RecoverShardedFromFiles(ckpt_base_, wal_base_);
-  ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_EQ(SnapSharded(second.value()), expected);
-}
-
-TEST_F(ShardedRecoveryTest, SerialAndParallelReplayAreByteIdentical) {
-  const Mkb mkb = MakeMkb();
-  {
-    ShardedEveSystem system(mkb, {}, 4);
-    ASSERT_TRUE(system.AttachJournals(wal_base_).ok());
-    ASSERT_TRUE(system.WriteShardedCheckpoint(ckpt_base_).ok());
-    RegisterPool(&system, mkb, 16);
-    ASSERT_TRUE(
-        system.ApplyChange(CapabilityChange::DeleteRelation("R1")).ok());
-    ASSERT_TRUE(system.WriteShardedCheckpoint(ckpt_base_).ok());
-    ASSERT_TRUE(
-        system.ApplyChanges({CapabilityChange::DeleteRelation("R20"),
-                             CapabilityChange::RenameRelation("R25", "R25x")})
-            .ok());
-  }
-  const Result<ShardedEveSystem> parallel =
-      ShardedEveSystem::RecoverShardedFromFiles(
-          ckpt_base_, wal_base_, nullptr, /*parallel_replay=*/true);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  const Result<ShardedEveSystem> serial =
-      ShardedEveSystem::RecoverShardedFromFiles(
-          ckpt_base_, wal_base_, nullptr, /*parallel_replay=*/false);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  EXPECT_EQ(SnapSharded(parallel.value()), SnapSharded(serial.value()));
-}
-
-TEST_F(ShardedRecoveryTest, BarrierDropsPartiallyFannedOutChanges) {
-  const Mkb mkb = MakeMkb();
-  ShardedEveSystem system(mkb, {}, 4);
-  ASSERT_TRUE(system.AttachJournals(wal_base_).ok());
-  ASSERT_TRUE(system.WriteShardedCheckpoint(ckpt_base_).ok());
-  RegisterPool(&system, mkb, 12);
-  ASSERT_TRUE(
-      system.ApplyChange(CapabilityChange::DeleteRelation("R1")).ok());
-  const std::string before = SnapSharded(system);
-
-  // Crash after two shards committed the next change: a strict prefix of
-  // the journals carries it, so the barrier must discard it everywhere.
-  Failpoints::Instance().Arm(fp::kShardedCommitShard, FailpointAction::kCrash,
-                             3);
-  EXPECT_THROW(
-      (void)system.ApplyChange(CapabilityChange::DeleteRelation("R20")),
-      SimulatedCrash);
-  Failpoints::Instance().Reset();
-
-  RecoveryReport report;
-  const Result<ShardedEveSystem> recovered =
-      ShardedEveSystem::RecoverShardedFromFiles(ckpt_base_, wal_base_,
-                                                &report);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_EQ(SnapSharded(recovered.value()), before);
-  EXPECT_GT(report.discarded, 0u);
-}
-
-TEST(ShardedBarrierTest, CountsAndTruncatesGlobalUnits) {
-  const std::vector<JournalRecord> records = {
-      {JournalRecordKind::kJournalEpoch, "1"},
-      {JournalRecordKind::kRegisterView, "..."},
-      {JournalRecordKind::kApplyChange, "..."},   // unit 1
-      {JournalRecordKind::kVersionCommit, "7"},
-      {JournalRecordKind::kBeginBatch, ""},
-      {JournalRecordKind::kApplyChange, "..."},
-      {JournalRecordKind::kCommitBatch, ""},      // unit 2
-      {JournalRecordKind::kApplyChange, "..."},   // unit 3
-  };
-  EXPECT_EQ(CompletedGlobalUnits(records), 3u);
-  EXPECT_EQ(CompletedGlobalUnits({}), 0u);
-
-  // The unit-1 prefix keeps the trailing kVersionCommit that belongs to
-  // it; the unit-2 prefix ends where the dangling unit 3 begins.
-  EXPECT_EQ(PrefixEndForUnits(records, 0), 2u);
-  EXPECT_EQ(PrefixEndForUnits(records, 1), 4u);
-  EXPECT_EQ(PrefixEndForUnits(records, 2), 7u);
-  EXPECT_EQ(PrefixEndForUnits(records, 3), 8u);
-
-  // An open batch never counts, and the barrier cuts before its begin.
-  const std::vector<JournalRecord> open_batch = {
-      {JournalRecordKind::kApplyChange, "..."},
-      {JournalRecordKind::kBeginBatch, ""},
-      {JournalRecordKind::kApplyChange, "..."},
-  };
-  EXPECT_EQ(CompletedGlobalUnits(open_batch), 1u);
-  EXPECT_EQ(PrefixEndForUnits(open_batch, 1), 1u);
 }
 
 TEST(ShardedSystemTest, BulkRegistrationPartitionsAcrossShards) {
