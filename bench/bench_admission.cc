@@ -5,9 +5,9 @@
 //      and with a (never-expiring) token; run_benchmarks.sh computes the
 //      overhead ratio and flags anything above the 2% budget.
 //   2. What latency does the bounded sync queue deliver under overload?
-//      BM_AdmissionBatch runs enqueue→shed→drain cycles against a chain
-//      system and reports p50/p99 cycle latency plus per-batch shed and
-//      completed counts.
+//      BM_AdmissionBatch runs enqueue→shed→drain cycles against a 1-shard
+//      serving core (ShardedEveSystem, as eved runs it) and reports
+//      p50/p99 cycle latency plus per-batch shed and completed counts.
 // The validation pass asserts a generous-budget run returns byte-identical
 // rewritings to the token-free run before any timing starts.
 
@@ -23,7 +23,7 @@
 
 #include "common/cancellation.h"
 #include "cvs/cvs.h"
-#include "eve/eve_system.h"
+#include "eve/sharded_system.h"
 #include "mkb/capability_change.h"
 #include "mkb/evolution.h"
 #include "workload/generator.h"
@@ -87,13 +87,9 @@ BENCHMARK(BM_SynchronizeFreeToken)->Arg(8)->Arg(16);
 
 // Chain system for the admission cycles (matches the admission_test
 // workload: even views reference the victim R1, odd ones live far away).
-EveSystem MakeChainSystem(size_t num_views) {
-  ChainMkbSpec spec;
-  spec.length = 24;
-  spec.skip_edges = true;
-  spec.cover_distance = 2;
-  const Mkb mkb = MakeChainMkb(spec).MoveValue();
-  EveSystem system(mkb);
+// A 1-shard serving core, which owns the admission queue, as in eved.
+ShardedEveSystem MakeChainSystem(const Mkb& mkb, size_t num_views) {
+  ShardedEveSystem system(mkb, {}, 1);
   for (size_t i = 0; i < num_views; ++i) {
     const size_t start = (i % 2 == 0) ? (i / 2) % 2 : 10 + (i / 2) % 10;
     ViewDefinition view = MakeChainView(mkb, start, 3).MoveValue();
@@ -114,7 +110,11 @@ double Percentile(std::vector<double> sorted, double p) {
 // of `range(0)`, shedding the excess, then drain what was admitted under a
 // per-view work budget. Latencies are aggregated into p50/p99 counters.
 void BM_AdmissionBatch(benchmark::State& state) {
-  const EveSystem base = MakeChainSystem(8);
+  ChainMkbSpec spec;
+  spec.length = 24;
+  spec.skip_edges = true;
+  spec.cover_distance = 2;
+  const Mkb mkb = MakeChainMkb(spec).MoveValue();
   const size_t queue_limit = state.range(0);
   const std::vector<CapabilityChange> batch = {
       CapabilityChange::DeleteRelation("R1"),
@@ -128,9 +128,11 @@ void BM_AdmissionBatch(benchmark::State& state) {
   uint64_t shed = 0;
   uint64_t completed = 0;
   for (auto _ : state) {
-    EveSystem system = base;
+    state.PauseTiming();
+    ShardedEveSystem system = MakeChainSystem(mkb, 8);
     system.SetSyncQueueLimit(queue_limit);
-    system.SetSyncWorkBudget(200);
+    system.shard(0).SetSyncWorkBudget(200);
+    state.ResumeTiming();
     const auto start = std::chrono::steady_clock::now();
     for (const CapabilityChange& change : batch) {
       (void)system.EnqueueChange(change);  // overflow sheds explicitly

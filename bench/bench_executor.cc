@@ -1,26 +1,21 @@
 // Columnar data plane at scale: vectorized executor vs the nested-loop
-// oracle, and incremental extent maintenance
-// (IncrementalRefresh) vs full re-materialization for every CVS verdict.
+// oracle, and incremental extent maintenance (IncrementalRefresh under
+// the Equal verdict, the one verdict with a rule) vs full
+// re-materialization.
 //
 // The workload is a two-relation chain join R0 ⋈ R1 with a 10M-row R0
 // (EVE_BENCH_EXECUTOR_ROWS overrides; the in-tree default is 65536 so the
 // CI smoke run stays fast) populated by PopulateRelationSkewed: 90% of R0
 // rows carry a hot join key that matches ~1 R1 row, payloads draw from a
-// skewed 1M-value domain. The three view shapes:
+// skewed 1M-value domain. The view is
 //
 //   base           SELECT P0, P1 FROM R0, R1 WHERE R0.L0 = R1.L0
-//   old_superset   base plus P0 < hi   (hi keeps ~99.9% of rows) — dropping
-//                  the condition makes base a SUPERSET of it, and the
-//                  delta ¬(P0 < hi) selects ~0.1% of the base scan
-//   new_subset     base plus P0 < lo   — adding the condition makes it a
-//                  SUBSET of base, maintainable by filtering the stored
-//                  extent with no base scan at all
 //
 // Before any timing, the binary validates (and exits nonzero on failure):
 //   1. nested-loop and vectorized execution produce identical sets;
-//   2. IncrementalRefresh is byte-identical to a full Refresh for the
-//      Equal, Superset and Subset verdicts, AND actually took the delta
-//      path (a silent fallback to kFull would make the timings a lie).
+//   2. IncrementalRefresh under Equal is set-identical to a full Refresh
+//      AND actually reused the extent (a silent fallback to kFull would
+//      make the timings a lie).
 
 #include <benchmark/benchmark.h>
 
@@ -55,20 +50,9 @@ struct Fixture {
   Mkb mkb;
   Database db;
   FunctionRegistry registry = FunctionRegistry::Default();
-  ViewDefinition base;          // V: the join, no extra conditions
-  ViewDefinition old_superset;  // V with the soon-to-be-dropped condition
-  ViewDefinition new_subset;    // V with an added condition
+  ViewDefinition base;  // V: the join, no extra conditions
   size_t rows = 0;
 };
-
-// P0 < threshold, the only condition shape the delta rules need here.
-ViewCondition PayloadBelow(int64_t threshold) {
-  return ViewCondition{
-      Expr::Binary(BinaryOp::kLt,
-                   Expr::Column(AttributeRef{"R0", "P0"}),
-                   Expr::Lit(Value::Int(threshold))),
-      EvolutionParams{false, true}};
-}
 
 std::unique_ptr<Fixture> MakeFixture(size_t rows) {
   auto f = std::make_unique<Fixture>();
@@ -105,12 +89,6 @@ std::unique_ptr<Fixture> MakeFixture(size_t rows) {
 
   f->base = MakeChainView(f->mkb, 0, 2).MoveValue();
   f->base.set_name("V");
-  f->old_superset = f->base;
-  f->old_superset.mutable_where()->push_back(
-      PayloadBelow(kValueDomain - kValueDomain / 1000));  // keeps ~99.9%
-  f->new_subset = f->base;
-  f->new_subset.mutable_where()->push_back(
-      PayloadBelow(kValueDomain / 8));
   return f;
 }
 
@@ -133,30 +111,26 @@ void Require(bool ok, const std::string& what) {
   }
 }
 
-// One incremental case: materialize the old view, incrementally bring it
-// to the new definition under `verdict`, and demand (a) the expected
-// delta path was taken and (b) the result is set-identical to a full
-// refresh of the new view.
-void CheckIncremental(Fixture& f, const ViewDefinition& old_view,
-                      const ViewDefinition& new_view, ExtentRelation verdict,
-                      RefreshPath want_path) {
+// Materialize the view, bring it incrementally to the same definition
+// under the Equal verdict, and demand (a) the extent was reused and (b) the
+// result is set-identical to a full refresh.
+void CheckIncrementalEqual(Fixture& f) {
   MaterializedViewStore store(&f.registry);
-  Require(store.Refresh(old_view, f.db, f.mkb.catalog()).ok(),
-          "materialize old view");
+  Require(store.Refresh(f.base, f.db, f.mkb.catalog()).ok(),
+          "materialize view");
   Require(store
-              .IncrementalRefresh(old_view, new_view, verdict, f.db,
-                                  f.mkb.catalog())
+              .IncrementalRefresh(f.base, f.base, ExtentRelation::kEqual,
+                                  f.db, f.mkb.catalog())
               .ok(),
           "incremental refresh");
-  Require(store.StatsFor("V").last_path == want_path,
-          std::string("expected path ") + RefreshPathToString(want_path) +
-              ", got " + RefreshPathToString(store.StatsFor("V").last_path));
+  Require(store.StatsFor("V").last_path == RefreshPath::kReuseEqual,
+          std::string("expected path reuse_equal, got ") +
+              RefreshPathToString(store.StatsFor("V").last_path));
   MaterializedViewStore full(&f.registry);
-  Require(full.Refresh(new_view, f.db, f.mkb.catalog()).ok(),
-          "full refresh of new view");
+  Require(full.Refresh(f.base, f.db, f.mkb.catalog()).ok(),
+          "full refresh");
   Require(store.Extent("V").value()->SetEquals(*full.Extent("V").value()),
-          std::string("incremental != full for verdict ") +
-              std::string(ExtentRelationToString(verdict)));
+          "incremental != full for verdict Equal");
 }
 
 void PrintReproduction() {
@@ -169,18 +143,12 @@ void PrintReproduction() {
   Require(vectorized.value().SetEquals(nested.value()),
           "vectorized != nested-loop oracle");
 
-  CheckIncremental(f, f.base, f.base, ExtentRelation::kEqual,
-                   RefreshPath::kReuseEqual);
-  CheckIncremental(f, f.old_superset, f.base, ExtentRelation::kSuperset,
-                   RefreshPath::kDeltaSuperset);
-  CheckIncremental(f, f.base, f.new_subset, ExtentRelation::kSubset,
-                   RefreshPath::kDeltaSubset);
+  CheckIncrementalEqual(f);
 
   std::cout << "=== executor ablation ===\n"
             << "16384-row join: both strategies agree ("
             << nested.value().NumRows() << " rows); incremental refresh "
-            << "matches full refresh for Equal/Superset/Subset via the "
-            << "delta paths\n"
+            << "matches full refresh for Equal via extent reuse\n"
             << "timed R0 rows: " << BigRows() << "\n\n";
 }
 
@@ -222,8 +190,8 @@ BENCHMARK(BM_QueryVectorized)->Unit(benchmark::kMillisecond);
 
 // --- Full vs incremental re-materialization ------------------------------
 
-// The baseline every verdict competes against: recompute the rewritten
-// view from the base tables.
+// The baseline the Equal rule competes against, and what every other
+// verdict runs: recompute the rewritten view from the base tables.
 void BM_FullRefresh(benchmark::State& state) {
   Fixture& f = GetFixture(BigRows());
   MaterializedViewStore store(&f.registry);
@@ -266,53 +234,6 @@ void BM_IncrementalEqual(benchmark::State& state) {
       static_cast<double>(store.Extent("V").value()->NumRows());
 }
 BENCHMARK(BM_IncrementalEqual)->Unit(benchmark::kMillisecond);
-
-// Verdicts Superset/Subset: each timed iteration starts from a freshly
-// materialized OLD extent (restored outside the timer), then applies the
-// delta rule. The paused restore dominates wall time at 10M rows but
-// none of it is measured.
-void RunIncremental(benchmark::State& state, const ViewDefinition& old_view,
-                    const ViewDefinition& new_view, ExtentRelation verdict,
-                    RefreshPath want_path) {
-  Fixture& f = GetFixture(BigRows());
-  MaterializedViewStore store(&f.registry);
-  for (auto _ : state) {
-    state.PauseTiming();
-    Status status = store.Refresh(old_view, f.db, f.mkb.catalog());
-    if (!status.ok()) {
-      state.SkipWithError(status.ToString().c_str());
-      return;
-    }
-    state.ResumeTiming();
-    status = store.IncrementalRefresh(old_view, new_view, verdict, f.db,
-                                      f.mkb.catalog());
-    if (!status.ok()) {
-      state.SkipWithError(status.ToString().c_str());
-      return;
-    }
-  }
-  if (store.StatsFor("V").last_path != want_path) {
-    state.SkipWithError("delta rule fell back to full refresh");
-    return;
-  }
-  state.counters["rows"] = static_cast<double>(f.rows);
-  state.counters["out_rows"] =
-      static_cast<double>(store.Extent("V").value()->NumRows());
-}
-
-void BM_IncrementalSuperset(benchmark::State& state) {
-  Fixture& f = GetFixture(BigRows());
-  RunIncremental(state, f.old_superset, f.base, ExtentRelation::kSuperset,
-                 RefreshPath::kDeltaSuperset);
-}
-BENCHMARK(BM_IncrementalSuperset)->Unit(benchmark::kMillisecond);
-
-void BM_IncrementalSubset(benchmark::State& state) {
-  Fixture& f = GetFixture(BigRows());
-  RunIncremental(state, f.base, f.new_subset, ExtentRelation::kSubset,
-                 RefreshPath::kDeltaSubset);
-}
-BENCHMARK(BM_IncrementalSubset)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace eve

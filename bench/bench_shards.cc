@@ -203,8 +203,8 @@ BENCHMARK(BM_DisjointCommitThroughput)->Arg(1)->Arg(4)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 // Pinned-snapshot reads while a writer commits the rename stream as fast
-// as it can. Each iteration pins the published snapshot (one atomic
-// load) and reads through it; per-read latency is collected by hand so
+// as it can. Each iteration pins the published snapshot (one pointer
+// copy) and reads through it; per-read latency is collected by hand so
 // the counters can report p50/p99 and how many reads completed while a
 // commit was in flight. Zero-blocking evidence: reads overlapping a
 // commit complete orders of magnitude faster than the commit itself —

@@ -55,8 +55,10 @@ inline constexpr char kSetMembershipAfterJournal[] =
 // sync parallelism > 1; a crash is parked and rethrown on the caller in
 // slot order); deadline_expired fires on the caller thread, in view-name
 // order, for each view whose search was stopped by its DeadlineToken, so
-// an armed error converts a partial result into an explicit failure. The admission sites bracket the
-// bounded sync queue (eve/eve_system.h EnqueueChange / DrainSyncQueue).
+// an armed error converts a partial result into an explicit failure. The
+// admission sites bracket the serving core's bounded sync queue
+// (eve/sharded_system.h): one fires per submission, one before each
+// drained change.
 inline constexpr char kSyncViewStart[] = "eve.sync.view_start";
 inline constexpr char kSyncDeadlineExpired[] = "eve.sync.deadline_expired";
 inline constexpr char kAdmissionEnqueue[] = "eve.admission.enqueue";

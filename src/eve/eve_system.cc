@@ -93,15 +93,6 @@ std::string SyncDiagnostics::ToString() const {
   return out;
 }
 
-std::string AdmissionStats::ToString() const {
-  std::string out = "submitted " + std::to_string(submitted) + ", completed " +
-                    std::to_string(completed);
-  if (failed > 0) out += " (" + std::to_string(failed) + " failed)";
-  out += ", shed " + std::to_string(shed) + ", queued " +
-         std::to_string(queued_now);
-  return out;
-}
-
 size_t ChangeReport::CountOutcome(ViewOutcomeKind kind) const {
   size_t count = 0;
   for (const ViewOutcome& outcome : outcomes) {
@@ -909,73 +900,6 @@ Status EveSystem::RestoreVersionStore(MkbVersionStore store) {
 void EveSystem::CancelActiveSync() const {
   std::lock_guard<std::mutex> lock(*sync_token_mu_);
   active_sync_token_.Cancel();  // no-op on a null token
-}
-
-Status EveSystem::EnqueueChange(const CapabilityChange& change) {
-  // Producers from any thread share admission_mu_ with the drain's
-  // bookkeeping, so every counter transition is atomic with its queue
-  // transition and the shedding invariant holds at every instant.
-  std::lock_guard<std::mutex> lock(*admission_mu_);
-  ++admission_stats_.submitted;
-  // Failpoint before the capacity check: an injected error models an
-  // admission layer rejecting under external pressure — the change is shed
-  // (counted, explicit error), never half-admitted.
-  const Status injected = Failpoints::Instance().Hit(fp::kAdmissionEnqueue);
-  if (!injected.ok()) {
-    ++admission_stats_.shed;
-    return injected;
-  }
-  if (sync_queue_limit_ != 0 && sync_queue_.size() >= sync_queue_limit_) {
-    ++admission_stats_.shed;
-    return Status::ResourceExhausted(
-        "sync queue full (limit " + std::to_string(sync_queue_limit_) +
-        "): change shed — drain the queue or raise the limit");
-  }
-  sync_queue_.push_back(change);
-  admission_stats_.queued_now = sync_queue_.size();
-  return Status::OK();
-}
-
-Result<std::vector<ChangeReport>> EveSystem::DrainSyncQueue() {
-  // One drainer at a time; enqueues stay concurrent. The change being
-  // applied is popped only when its outcome is recorded, so a sampled
-  // admission_stats() never sees it half-accounted.
-  std::lock_guard<std::mutex> drain_lock(*drain_mu_);
-  std::vector<ChangeReport> reports;
-  while (true) {
-    CapabilityChange change;
-    {
-      std::lock_guard<std::mutex> lock(*admission_mu_);
-      if (sync_queue_.empty()) break;
-      // Failpoint before each application: an injected error stops the
-      // drain with the change (and the rest of the queue) still admitted
-      // for a retry.
-      const Status injected = Failpoints::Instance().Hit(fp::kAdmissionDrain);
-      if (!injected.ok()) {
-        admission_stats_.queued_now = sync_queue_.size();
-        return injected;
-      }
-      change = sync_queue_.front();
-    }
-    // Each drained change runs under its own fresh deadline (ApplyChange
-    // builds the token tree from the current knobs). Runs outside
-    // admission_mu_ so producers are never blocked by a long sync.
-    Result<ChangeReport> report = ApplyChange(change);
-    {
-      std::lock_guard<std::mutex> lock(*admission_mu_);
-      sync_queue_.pop_front();
-      ++admission_stats_.completed;
-      if (!report.ok()) {
-        // The change was consumed (completed, failed); the remainder stays
-        // queued for a later drain.
-        ++admission_stats_.failed;
-      }
-      admission_stats_.queued_now = sync_queue_.size();
-    }
-    if (!report.ok()) return report.status();
-    reports.push_back(report.MoveValue());
-  }
-  return reports;
 }
 
 Result<std::vector<ChangeReport>> EveSystem::ApplyChanges(

@@ -7,7 +7,6 @@
 #define EVE_EVE_EVE_SYSTEM_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -96,24 +95,6 @@ struct SyncDiagnostics {
   uint64_t watchdog_cancels = 0;
 
   // "truncated views: A, B; deadline views: C" — empty when clean.
-  std::string ToString() const;
-};
-
-// Admission accounting for the bounded sync queue. The shedding invariant
-// (checked by tests and the CI stress job): submitted == completed + shed
-// + queued_now — every submitted change is either applied (completed,
-// successfully or with an explicit per-change error), rejected with an
-// explicit ResourceExhausted (shed), or still waiting. Nothing disappears
-// silently.
-struct AdmissionStats {
-  uint64_t submitted = 0;  // EnqueueChange calls
-  uint64_t shed = 0;       // rejected: queue at limit (or injected fault)
-  uint64_t completed = 0;  // drained and applied (includes explicit
-                           // per-change failures; see failed)
-  uint64_t failed = 0;     // of completed: ApplyChange returned an error
-  size_t queued_now = 0;   // currently waiting
-
-  // "submitted 5, completed 3 (1 failed), shed 2, queued 0".
   std::string ToString() const;
 };
 
@@ -355,44 +336,6 @@ class EveSystem {
   // a no-op when no sync is active.
   void CancelActiveSync() const;
 
-  // --- Admission control ---------------------------------------------------
-  //
-  // A bounded FIFO of pending changes with explicit load-shedding. Each
-  // drained change runs under a fresh deadline token built from the knobs
-  // above. Invariant: submitted == completed + shed + queued_now.
-  //
-  // Thread safety: EnqueueChange, queued_changes, admission_stats and
-  // CancelActiveSync may be called concurrently from any number of threads
-  // (the network front end admits from many sessions at once). Drains are
-  // serialized among themselves, and a change being applied still counts
-  // as queued until its outcome is recorded, so the invariant above holds
-  // at EVERY observable instant, not just at rest.
-
-  // Queue bound for EnqueueChange (0 = unbounded).
-  void SetSyncQueueLimit(size_t limit) { sync_queue_limit_ = limit; }
-  size_t sync_queue_limit() const { return sync_queue_limit_; }
-
-  // Admits `change` into the pending queue. When the queue is at its
-  // limit, the NEWEST submission (this one) is rejected with an explicit
-  // kResourceExhausted — never silently dropped.
-  Status EnqueueChange(const CapabilityChange& change);
-
-  // Applies every queued change in FIFO order, each under its own deadline
-  // built from the current knobs. Stops at the first failing change with
-  // its error; the remainder stays queued for a later drain.
-  Result<std::vector<ChangeReport>> DrainSyncQueue();
-
-  size_t queued_changes() const {
-    std::lock_guard<std::mutex> lock(*admission_mu_);
-    return sync_queue_.size();
-  }
-  // A consistent snapshot of the counters (all four fields are updated
-  // under one lock, so a sampled snapshot always satisfies the invariant).
-  AdmissionStats admission_stats() const {
-    std::lock_guard<std::mutex> lock(*admission_mu_);
-    return admission_stats_;
-  }
-
   // Per-view truncation/deadline lists for the most recent ApplyChange or
   // PreviewChange (same lifecycle as last_sync_stats()).
   const SyncDiagnostics& last_sync_diagnostics() const {
@@ -597,16 +540,6 @@ class EveSystem {
   uint64_t sync_watchdog_micros_ = 0;
   const Clock* sync_clock_ = nullptr;  // non-owning; nullptr = steady clock
   VersioningMode versioning_mode_ = VersioningMode::kFullSnapshots;
-  size_t sync_queue_limit_ = 0;
-  std::deque<CapabilityChange> sync_queue_;
-  AdmissionStats admission_stats_;
-  // Guards sync_queue_ + admission_stats_ against concurrent producers
-  // (EnqueueChange from many sessions) racing the drain. Shared across
-  // copies — like sync_token_mu_ — so EveSystem stays copyable.
-  std::shared_ptr<std::mutex> admission_mu_ = std::make_shared<std::mutex>();
-  // Serializes DrainSyncQueue callers (two drains applying the same change
-  // twice would corrupt the accounting; enqueues stay concurrent).
-  std::shared_ptr<std::mutex> drain_mu_ = std::make_shared<std::mutex>();
   // Root token of the in-flight change. Guarded by a shared (not per-copy)
   // mutex so CancelActiveSync and the watchdog may fire from other threads
   // while EveSystem itself stays copyable.

@@ -4,11 +4,10 @@
 // at the user site, Sec. 1).
 //
 // Beyond full recomputation (Refresh), the store can bring a stored
-// extent to a rewritten view definition *incrementally*
-// (IncrementalRefresh): the CVS extent verdict for the rewriting bounds
-// how the new extent relates to the old one, and per-verdict delta rules
-// reuse the old extent instead of rescanning the sources. See
-// docs/EXECUTOR.md for the rules and their soundness arguments.
+// extent to a rewritten view definition with IncrementalRefresh: when the
+// CVS extent verdict is Equal, the old extent is adopted without a scan;
+// every other verdict recomputes. See docs/EXECUTOR.md for the rule and
+// for why no Superset/Subset delta rule exists.
 
 #ifndef EVE_EVE_MATERIALIZATION_H_
 #define EVE_EVE_MATERIALIZATION_H_
@@ -35,10 +34,8 @@ Status ApplyChangeToDatabase(const CapabilityChange& change, Database* db);
 
 // Which maintenance path IncrementalRefresh took for a view.
 enum class RefreshPath {
-  kFull,           // recomputed from the base tables
-  kReuseEqual,     // verdict Equal: old extent adopted wholesale, zero scan
-  kDeltaSuperset,  // verdict Superset: old extent ∪ dropped-condition delta
-  kDeltaSubset,    // verdict Subset: old extent filtered by added conditions
+  kFull,        // recomputed from the base tables
+  kReuseEqual,  // verdict Equal: old extent adopted wholesale, zero scan
 };
 
 const char* RefreshPathToString(RefreshPath path);
@@ -47,13 +44,14 @@ const char* RefreshPathToString(RefreshPath path);
 struct RefreshStats {
   uint64_t full = 0;
   uint64_t reuse_equal = 0;
+  // Always 0: no delta rule exists for the Superset or Subset verdict (CVS
+  // never returns a rewriting one could apply to). The fields stay because
+  // perfbench/harness/refresh_data.cc reports them.
   uint64_t delta_superset = 0;
   uint64_t delta_subset = 0;
   RefreshPath last_path = RefreshPath::kFull;
 
-  uint64_t total() const {
-    return full + reuse_equal + delta_superset + delta_subset;
-  }
+  uint64_t total() const { return full + reuse_equal; }
 };
 
 // A pool of materialized view extents, refreshed on demand from base
@@ -66,9 +64,8 @@ class MaterializedViewStore {
   explicit MaterializedViewStore(const FunctionRegistry* registry)
       : registry_(registry) {}
 
-  // Join strategy for view evaluation (full refreshes, delta queries and
-  // empirical checks). Vectorized by default; kNestedLoop runs the test
-  // oracle.
+  // Join strategy for view evaluation (refreshes and empirical checks).
+  // Vectorized by default; kNestedLoop runs the test oracle.
   void SetStrategy(JoinStrategy strategy) { strategy_ = strategy; }
   JoinStrategy strategy() const { return strategy_; }
 
@@ -78,23 +75,12 @@ class MaterializedViewStore {
                  const Catalog& catalog);
 
   // Brings the stored extent of `old_view` to `new_view`'s definition,
-  // consulting `verdict` (the CVS extent relationship between the two):
-  //  * kEqual    — the old extent is adopted wholesale (zero scan) when
-  //                the interfaces carry the same attribute names;
-  //  * kSubset   — when the rewriting only ADDED conditions over columns
-  //                the old view exposed as bare select items, the new
-  //                extent is a filter of the old one (no join, no base
-  //                scan);
-  //  * kSuperset — when the rewriting only DROPPED conditions, the new
-  //                extent is the old one unioned with the rows the
-  //                dropped conditions excluded (delta terms partitioned
-  //                by the first non-true dropped condition — sound under
-  //                three-valued logic);
-  //  * kUnknown  — full recompute.
-  // Structural preconditions are checked per rule; any mismatch falls
-  // back to Refresh(new_view). The path taken is recorded in stats().
-  // `db`/`catalog` are the POST-change database and catalog (the delta
-  // rules only touch them when a base scan is genuinely required).
+  // consulting `verdict` (the CVS extent relationship between the two).
+  // For kEqual, when the interfaces carry the same attribute names, the
+  // old extent is adopted wholesale (zero scan). Every other verdict, and
+  // an Equal verdict whose interface names differ, runs Refresh(new_view).
+  // The path taken is recorded in stats(). `db`/`catalog` are the
+  // POST-change database and catalog.
   Status IncrementalRefresh(const ViewDefinition& old_view,
                             const ViewDefinition& new_view,
                             ExtentRelation verdict, const Database& db,
@@ -128,16 +114,11 @@ class MaterializedViewStore {
  private:
   void Record(const std::string& view_name, RefreshPath path);
 
-  // Rule implementations; return true if the rule applied (extent
-  // updated), false if preconditions failed and the caller should fall
-  // back. Errors are real failures.
+  // The Equal rule; returns true if it applied (extent updated), false if
+  // its precondition failed and the caller should fall back. Errors are
+  // real failures.
   Result<bool> TryReuseEqual(const ViewDefinition& old_view,
                              const ViewDefinition& new_view);
-  Result<bool> TryDeltaSubset(const ViewDefinition& old_view,
-                              const ViewDefinition& new_view);
-  Result<bool> TryDeltaSuperset(const ViewDefinition& old_view,
-                                const ViewDefinition& new_view,
-                                const Database& db, const Catalog& catalog);
 
   const FunctionRegistry* registry_ = nullptr;
   JoinStrategy strategy_ = JoinStrategy::kVectorized;

@@ -20,6 +20,15 @@ Status PoisonedError() {
 
 }  // namespace
 
+std::string AdmissionStats::ToString() const {
+  std::string out = "submitted " + std::to_string(submitted) + ", completed " +
+                    std::to_string(completed);
+  if (failed > 0) out += " (" + std::to_string(failed) + " failed)";
+  out += ", shed " + std::to_string(shed) + ", queued " +
+         std::to_string(queued_now);
+  return out;
+}
+
 ShardedEveSystem::ShardedEveSystem(Mkb mkb, CvsOptions options,
                                    size_t shard_count) {
   if (shard_count == 0) shard_count = 1;

@@ -13,10 +13,10 @@
 //
 // Reads are served RCU-style: after every committed global operation the
 // coordinator publishes an immutable Snapshot (MKB tip + per-shard version
-// ids) through one atomic pointer swap (common/epoch_ptr.h). Readers pin
-// the current snapshot with a single atomic load and keep a whole
-// consistent version alive for as long as they hold it — they never block,
-// and are never blocked by, a running synchronization.
+// ids) through one pointer swap (common/epoch_ptr.h). Readers pin the
+// current snapshot with one pointer copy and keep a whole consistent
+// version alive for as long as they hold it — they never block, and are
+// never blocked by, a running synchronization.
 //
 // Determinism: per-shard reports are byte-identical to what a single
 // system holding just that partition would produce, and MergeReports
@@ -66,6 +66,24 @@ struct ShardedSnapshot {
   const std::string& ViewsText(size_t i) const;
 };
 
+// Admission accounting for the bounded sync queue. The shedding invariant
+// (checked by tests and the CI stress job): submitted == completed + shed
+// + queued_now — every submitted change is either applied (completed,
+// successfully or with an explicit per-change error), rejected with an
+// explicit ResourceExhausted (shed), or still waiting. Nothing disappears
+// silently.
+struct AdmissionStats {
+  uint64_t submitted = 0;  // EnqueueChange calls
+  uint64_t shed = 0;       // rejected: queue at limit (or injected fault)
+  uint64_t completed = 0;  // drained and applied (includes explicit
+                           // per-change failures; see failed)
+  uint64_t failed = 0;     // of completed: ApplyChange returned an error
+  size_t queued_now = 0;   // currently waiting
+
+  // "submitted 5, completed 3 (1 failed), shed 2, queued 0".
+  std::string ToString() const;
+};
+
 // Per-shard serving statistics (SHOW SHARD STATS).
 struct ShardStatsRow {
   size_t shard = 0;
@@ -112,7 +130,7 @@ class ShardedEveSystem {
 
   // --- Reads ---------------------------------------------------------------
 
-  // Pins the last published snapshot: one atomic load, no shard locks, and
+  // Pins the last published snapshot: one pointer copy, no shard locks, and
   // the snapshot stays byte-stable across any number of concurrent
   // commits. Null until the first PublishSnapshot().
   std::shared_ptr<const ShardedSnapshot> PinPublished() const {
@@ -205,7 +223,7 @@ class ShardedEveSystem {
       const std::vector<ChangeReport>& per_shard);
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Behind unique_ptr: the atomic inside EpochPtr pins it in place, while
+  // Behind unique_ptr: the mutex inside EpochPtr pins it in place, while
   // ShardedEveSystem itself stays movable (LOAD MISD move-assigns a fresh
   // system).
   std::unique_ptr<EpochPtr<ShardedSnapshot>> published_ =

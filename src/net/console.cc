@@ -460,8 +460,9 @@ bool Console::SetShards(const std::string& value) {
   uint64_t count = 0;
   if (!ParseTicks(value, &count)) return false;
   if (journal_.has_value()) {
-    Err() << "error: SET SHARDS after JOURNAL is not allowed (journal "
-             "records are placed per shard)\n";
+    Err() << "error: SET SHARDS after JOURNAL is not allowed (the journal "
+             "is the system's single journal, and durable state is "
+             "single-shard)\n";
     return false;
   }
   if (!sys().source_membership().empty()) {

@@ -41,8 +41,7 @@ std::string RenderMetricsText(Server& server, Console& console,
   os << "eve_server_goodbyes_total " << stats.goodbyes << "\n";
 
   // admission_stats() is internally synchronized; no console lock needed.
-  const AdmissionStats admission =
-      console.sharded().shard(0).admission_stats();
+  const AdmissionStats admission = console.sharded().admission_stats();
   os << "eve_admission_submitted_total " << admission.submitted << "\n";
   os << "eve_admission_shed_total " << admission.shed << "\n";
   os << "eve_admission_completed_total " << admission.completed << "\n";

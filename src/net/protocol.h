@@ -70,9 +70,6 @@ struct Frame {
   std::string payload;
 };
 
-// CRC-32 (IEEE 802.3, reflected) over `data`.
-uint32_t Crc32(std::string_view data);
-
 // Renders a complete frame (header + payload) ready to write to a socket.
 std::string EncodeFrame(FrameType type, std::string_view payload);
 

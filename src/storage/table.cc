@@ -198,48 +198,6 @@ bool Table::SetEquals(const Table& other) const {
   return IsSubsetOf(other) && other.IsSubsetOf(*this);
 }
 
-Table Table::SortedUnion(const Table& a, const Table& b) {
-  assert(a.dedup_sorted_ && b.dedup_sorted_);
-  Table out(a.schema_);
-  if (b.num_rows_ == 0) {
-    out = a;
-    return out;
-  }
-  if (a.num_rows_ == 0) {
-    out.columns_ = b.columns_;
-    out.num_rows_ = b.num_rows_;
-    out.dedup_sorted_ = true;
-    return out;
-  }
-  out.Reserve(a.num_rows_ + b.num_rows_);
-  size_t i = 0, j = 0;
-  auto append_row = [&out](const Table& src, size_t r) {
-    for (size_t c = 0; c < out.columns_.size(); ++c) {
-      out.MutableColumn(c).AppendFrom(*src.columns_[c], r);
-    }
-    ++out.num_rows_;
-  };
-  while (i < a.num_rows_ && j < b.num_rows_) {
-    int c = CompareTableRows(a, i, b, j);
-    if (c < 0) {
-      append_row(a, i++);
-    } else if (c > 0) {
-      append_row(b, j++);
-    } else {
-      // Tied under the sort order: emit both unless strictly equal (the
-      // historical unique() used strict Value equality).
-      append_row(a, i);
-      if (!TableRowsEqual(a, i, b, j)) append_row(b, j);
-      ++i;
-      ++j;
-    }
-  }
-  while (i < a.num_rows_) append_row(a, i++);
-  while (j < b.num_rows_) append_row(b, j++);
-  out.dedup_sorted_ = true;
-  return out;
-}
-
 std::string Table::ToString(size_t max_rows) const {
   std::ostringstream os;
   std::vector<std::string> header;

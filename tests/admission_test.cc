@@ -1,10 +1,11 @@
 // The deadline/cancellation/admission layer: DeadlineToken semantics
 // (deterministic work budgets, virtual-clock deadlines, the parent→child
 // cancellation tree), hardened ThreadPool shutdown, FederationMonitor
-// probe budgeting, and EveSystem admission control — bounded queue with
-// explicit shedding, per-change deadlines, watchdog cancellation, and the
-// cover-fan partial-result acceptance scenario at sync parallelism
-// {1, 4, 8}. This binary runs under TSan and ASan/UBSan in CI.
+// probe budgeting, and admission control — the serving core's bounded
+// queue with explicit shedding, per-change deadlines, watchdog
+// cancellation, and the cover-fan partial-result acceptance scenario at
+// sync parallelism {1, 4, 8}. This binary runs under TSan and ASan/UBSan
+// in CI.
 
 #include <gtest/gtest.h>
 
@@ -228,34 +229,51 @@ TEST(MonitorDeadlineTest, ProbeFanOutIsBudgetedDeterministically) {
   EXPECT_EQ(monitor.stats().probes_skipped, skipped);
 }
 
-// --- EveSystem admission control -------------------------------------------
+// --- Admission control (the serving core's queue) ----------------------------
 
-// Chain system matching parallel_sync_test's batch workload: deleting R1
+// Chain workload matching parallel_sync_test's batch workload: deleting R1
 // affects the even-numbered views.
-EveSystem MakeChainSystem(size_t num_views) {
+Mkb MakeAdmissionMkb() {
   ChainMkbSpec spec;
   spec.length = 24;
   spec.skip_edges = true;
   spec.cover_distance = 2;
-  const Mkb mkb = MakeChainMkb(spec).MoveValue();
-  EveSystem system(mkb);
+  return MakeChainMkb(spec).MoveValue();
+}
+
+template <class System>
+void RegisterChainViews(const Mkb& mkb, size_t num_views, System* system) {
   for (size_t i = 0; i < num_views; ++i) {
     const size_t start = (i % 2 == 0) ? (i / 2) % 2 : 10 + (i / 2) % 10;
     ViewDefinition view = MakeChainView(mkb, start, 3).MoveValue();
     view.set_name("BV" + std::to_string(i));
-    EXPECT_TRUE(system.RegisterView(view).ok());
+    EXPECT_TRUE(system->RegisterView(view).ok());
   }
+}
+
+EveSystem MakeChainSystem(size_t num_views) {
+  const Mkb mkb = MakeAdmissionMkb();
+  EveSystem system(mkb);
+  RegisterChainViews(mkb, num_views, &system);
   return system;
 }
 
-void ExpectAdmissionInvariant(const EveSystem& system) {
+// The serving core, which owns the admission queue; eved runs 1 shard.
+ShardedEveSystem MakeServingCore(size_t num_views, size_t shards = 1) {
+  const Mkb mkb = MakeAdmissionMkb();
+  ShardedEveSystem system(mkb, {}, shards);
+  RegisterChainViews(mkb, num_views, &system);
+  return system;
+}
+
+void ExpectAdmissionInvariant(const ShardedEveSystem& system) {
   const AdmissionStats& stats = system.admission_stats();
   EXPECT_EQ(stats.submitted, stats.completed + stats.shed + stats.queued_now)
       << stats.ToString();
 }
 
 TEST(AdmissionTest, FullQueueShedsTheNewestSubmissionExplicitly) {
-  EveSystem system = MakeChainSystem(4);
+  ShardedEveSystem system = MakeServingCore(4);
   system.SetSyncQueueLimit(2);
   EXPECT_TRUE(
       system.EnqueueChange(CapabilityChange::DeleteRelation("R1")).ok());
@@ -284,7 +302,7 @@ TEST(AdmissionTest, FullQueueShedsTheNewestSubmissionExplicitly) {
 }
 
 TEST(AdmissionTest, DrainStopsAtAFailingChangeAndKeepsTheRemainder) {
-  EveSystem system = MakeChainSystem(4);
+  ShardedEveSystem system = MakeServingCore(4);
   EXPECT_TRUE(
       system.EnqueueChange(CapabilityChange::DeleteRelation("NoSuchRelation"))
           .ok());
@@ -436,7 +454,7 @@ class AdmissionFailpointTest : public ::testing::Test {
 };
 
 TEST_F(AdmissionFailpointTest, InjectedEnqueueFaultIsCountedAsShed) {
-  EveSystem system = MakeChainSystem(2);
+  ShardedEveSystem system = MakeServingCore(2);
   Failpoints::Instance().Arm(fp::kAdmissionEnqueue, FailpointAction::kError);
   const Status status =
       system.EnqueueChange(CapabilityChange::DeleteRelation("R1"));
@@ -451,7 +469,7 @@ TEST_F(AdmissionFailpointTest, InjectedEnqueueFaultIsCountedAsShed) {
 }
 
 TEST_F(AdmissionFailpointTest, InjectedDrainFaultLeavesTheQueueIntact) {
-  EveSystem system = MakeChainSystem(2);
+  ShardedEveSystem system = MakeServingCore(2);
   ASSERT_TRUE(
       system.EnqueueChange(CapabilityChange::DeleteRelation("R1")).ok());
   Failpoints::Instance().Arm(fp::kAdmissionDrain, FailpointAction::kError);
@@ -520,8 +538,7 @@ TEST_F(AdmissionFailpointTest, DeadlineExpiredSiteFiresOnPartialViews) {
 // accounts atomically under the admission lock, and a drain keeps the
 // in-flight change counted as queued until its completion is recorded.
 
-template <class System>
-void RaceAdmission(System& system) {
+void RaceAdmission(ShardedEveSystem& system) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 150;
   std::atomic<bool> stop{false};
@@ -577,24 +594,13 @@ void RaceAdmission(System& system) {
 }
 
 TEST(AdmissionConcurrencyTest, InvariantHoldsUnderRacingEnqueueAndDrain) {
-  EveSystem system = MakeChainSystem(4);
+  ShardedEveSystem system = MakeServingCore(4);
   system.SetSyncQueueLimit(8);  // small enough that bursts shed
   RaceAdmission(system);
 }
 
 TEST(AdmissionConcurrencyTest, ShardedInvariantHoldsUnderRacingEnqueueAndDrain) {
-  ChainMkbSpec spec;
-  spec.length = 24;
-  spec.skip_edges = true;
-  spec.cover_distance = 2;
-  const Mkb mkb = MakeChainMkb(spec).MoveValue();
-  ShardedEveSystem system(mkb, {}, 2);
-  for (size_t i = 0; i < 4; ++i) {
-    const size_t start = (i % 2 == 0) ? (i / 2) % 2 : 10 + (i / 2) % 10;
-    ViewDefinition view = MakeChainView(mkb, start, 3).MoveValue();
-    view.set_name("BV" + std::to_string(i));
-    ASSERT_TRUE(system.RegisterView(view).ok());
-  }
+  ShardedEveSystem system = MakeServingCore(4, 2);
   system.SetSyncQueueLimit(8);
   RaceAdmission(system);
 }

@@ -6,9 +6,7 @@
 //  * MaterializedViewStore::IncrementalRefresh must produce an extent
 //    byte-identical (after Deduplicate) to a full nested-loop Refresh for
 //    every CVS verdict — Equal (wholesale reuse, incl. permuted
-//    interfaces), Superset (dropped-condition deltas, incl. NULL rows the
-//    partition rule must not lose), Subset (added-condition filter over
-//    the stored extent) and Unknown (full-recompute fallback).
+//    interfaces) and Superset, Subset and Unknown (full recompute).
 
 #include <gtest/gtest.h>
 
@@ -275,8 +273,7 @@ ViewCondition JoinCond() {
 }
 
 // IncrementalRefresh(old, new, verdict) must agree byte-for-byte with a
-// full Refresh(new) for every verdict, including on NULL-heavy data where
-// a naive NOT-based superset delta would lose rows.
+// full nested-loop Refresh(new) for every verdict, on NULL-heavy data.
 TEST(IncrementalRefreshTest, MatchesFullRefreshForEveryVerdict) {
   const Catalog catalog = MakeCatalog();
   for (uint64_t seed = 0; seed < 12; ++seed) {
@@ -314,22 +311,16 @@ TEST(IncrementalRefreshTest, MatchesFullRefreshForEveryVerdict) {
                    {Col("R", "p"), "P", {}}},
                   {JoinCond()}),
          ExtentRelation::kEqual, RefreshPath::kReuseEqual},
-        // Superset: one dropped condition (NULL q rows must reappear).
-        {"superset-one-drop",
-         MakeView("v", BaseSelect(), {JoinCond(), drop1}),
-         MakeView("v", BaseSelect(), {JoinCond()}),
-         ExtentRelation::kSuperset, RefreshPath::kDeltaSuperset},
-        // Superset: two dropped conditions (partition across delta terms).
-        {"superset-two-drops",
+        // Superset and Subset: no delta rule exists, so the store
+        // recomputes from the base tables.
+        {"superset-refreshes-fully",
          MakeView("v", BaseSelect(), {JoinCond(), drop1, drop2}),
          MakeView("v", BaseSelect(), {JoinCond()}),
-         ExtentRelation::kSuperset, RefreshPath::kDeltaSuperset},
-        // Subset: added conditions over exposed bare columns filter the
-        // stored extent without touching base tables.
-        {"subset-added-filter",
+         ExtentRelation::kSuperset, RefreshPath::kFull},
+        {"subset-refreshes-fully",
          MakeView("v", BaseSelect(), {JoinCond()}),
          MakeView("v", BaseSelect(), {JoinCond(), drop1, drop2}),
-         ExtentRelation::kSubset, RefreshPath::kDeltaSubset},
+         ExtentRelation::kSubset, RefreshPath::kFull},
         // Unknown: full-recompute fallback.
         {"unknown-falls-back",
          MakeView("v", BaseSelect(), {JoinCond(), drop1}),
@@ -375,64 +366,8 @@ TEST(IncrementalRefreshTest, MatchesFullRefreshForEveryVerdict) {
   }
 }
 
-// Randomized drop/add sets: old = base conditions, new = random subset
-// (superset verdict) and the reverse (subset verdict); incremental must
-// match full either way.
-TEST(IncrementalRefreshTest, RandomizedConditionSubsets) {
-  const Catalog catalog = MakeCatalog();
-  for (uint64_t seed = 0; seed < 15; ++seed) {
-    std::mt19937_64 rng(seed * 31 + 5);
-    const Database db = MakeDatabase(catalog, &rng, 70, 25, 4);
-    // A pool of conditions over exposed columns only (P, Q and W are all
-    // bare select items, so the subset rule is always applicable).
-    std::vector<ViewCondition> pool = {JoinCond()};
-    const size_t extra = 1 + rng() % 3;
-    static const char* kCols[][2] = {{"R", "p"}, {"R", "q"}, {"A", "w"}};
-    static const BinaryOp kOps[] = {BinaryOp::kLt, BinaryOp::kGe,
-                                    BinaryOp::kNe};
-    for (size_t i = 0; i < extra; ++i) {
-      const auto& col = kCols[rng() % 3];
-      pool.push_back({Expr::Binary(kOps[rng() % 3], Col(col[0], col[1]),
-                                   Expr::Lit(Value::Int(rng() % 40))),
-                      {}});
-    }
-    // Narrow = all conditions; wide = join plus a strict subset of the
-    // extras.
-    std::vector<ViewCondition> wide = {pool.front()};
-    for (size_t i = 1; i < pool.size(); ++i) {
-      if (rng() % 2 == 0) wide.push_back(pool[i]);
-    }
-    const ViewDefinition narrow_view = MakeView("v", BaseSelect(), pool);
-    const ViewDefinition wide_view = MakeView("v", BaseSelect(), wide);
-
-    for (const bool dropping : {true, false}) {
-      const ViewDefinition& old_view = dropping ? narrow_view : wide_view;
-      const ViewDefinition& new_view = dropping ? wide_view : narrow_view;
-      const ExtentRelation verdict =
-          dropping ? ExtentRelation::kSuperset : ExtentRelation::kSubset;
-      const std::string context = std::string(dropping ? "drop" : "add") +
-                                  " seed " + std::to_string(seed);
-
-      MaterializedViewStore incremental;
-      incremental.SetStrategy(JoinStrategy::kVectorized);
-      ASSERT_TRUE(incremental.Refresh(old_view, db, catalog).ok()) << context;
-      ASSERT_TRUE(incremental
-                      .IncrementalRefresh(old_view, new_view, verdict, db,
-                                          catalog)
-                      .ok())
-          << context;
-
-      MaterializedViewStore full;
-      full.SetStrategy(JoinStrategy::kNestedLoop);
-      ASSERT_TRUE(full.Refresh(new_view, db, catalog).ok()) << context;
-      ExpectTablesIdentical(*incremental.Extent("v").value(),
-                            *full.Extent("v").value(), context);
-    }
-  }
-}
-
-// Structural preconditions failing must fall back to a full refresh, not
-// produce a wrong extent: a Superset verdict whose select lists differ.
+// A failed precondition must fall back to a full refresh, not produce a
+// wrong extent: an Equal verdict whose interface names differ.
 TEST(IncrementalRefreshTest, InapplicableRuleFallsBackToFull) {
   const Catalog catalog = MakeCatalog();
   std::mt19937_64 rng(3);
@@ -441,7 +376,7 @@ TEST(IncrementalRefreshTest, InapplicableRuleFallsBackToFull) {
                                            Expr::Lit(Value::Int(20))),
                               {}};
   const ViewDefinition old_view = MakeView("v", BaseSelect(), {JoinCond(), cond});
-  // New view also renames an output: pairwise select match fails.
+  // New view also renames an output: the interface name sets differ.
   const ViewDefinition new_view =
       MakeView("v",
                {{Col("R", "p"), "P2", {}},
@@ -452,7 +387,7 @@ TEST(IncrementalRefreshTest, InapplicableRuleFallsBackToFull) {
   ASSERT_TRUE(store.Refresh(old_view, db, catalog).ok());
   ASSERT_TRUE(store
                   .IncrementalRefresh(old_view, new_view,
-                                      ExtentRelation::kSuperset, db, catalog)
+                                      ExtentRelation::kEqual, db, catalog)
                   .ok());
   EXPECT_EQ(store.StatsFor("v").last_path, RefreshPath::kFull);
   MaterializedViewStore full;

@@ -223,9 +223,9 @@ TEST(WarehouseTest, AttachedStoreMaintainedAcrossChange) {
 }
 
 // DELETE ATTRIBUTE of a column only a dispensable filter reads: CVS drops
-// the filter (verdict Superset), but the dropped condition names a column
-// the evolved table no longer has, so the superset delta rule cannot
-// evaluate it and the hook must fall back to a full refresh.
+// the filter (verdict Superset), and the hook refreshes the view fully —
+// the dropped condition names a column the evolved table no longer has,
+// so no delta over the old extent could evaluate it.
 TEST(WarehouseTest, DeleteAttributeUnderDispensableFilterRefreshesFully) {
   Mkb mkb = MakeTravelAgencyMkb().value();
   Database db;

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "net/protocol.h"
 
 namespace eve {
@@ -24,6 +25,8 @@ std::string Corrupt(std::string frame, size_t at) {
 
 // --- CRC --------------------------------------------------------------------
 
+// Frames are checksummed with the common CRC-32 (eve::Crc32), the same
+// function that frames journal records.
 TEST(Crc32Test, MatchesKnownVectors) {
   // The IEEE CRC-32 check value for "123456789".
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
@@ -48,6 +51,17 @@ TEST(FrameTest, EncodeDecodeRoundtrip) {
   EXPECT_FALSE(decoder.Next().has_value());
   EXPECT_EQ(decoder.buffered_bytes(), 0u);
   EXPECT_EQ(decoder.resyncs(), 0u);
+}
+
+// Wire bytes are a compatibility contract: magic, type, little-endian
+// length and little-endian CRC-32 of the payload, then the payload.
+TEST(FrameTest, GoldenBytesAreStable) {
+  EXPECT_EQ(EncodeFrame(FrameType::kRequest, "hello"),
+            std::string("EVE1\x01\x05\x00\x00\x00\x86\xa6\x10\x36hello",
+                        kHeaderSize + 5));
+  EXPECT_EQ(EncodeFrame(FrameType::kRequest, ""),
+            std::string("EVE1\x01\x00\x00\x00\x00\x00\x00\x00\x00",
+                        kHeaderSize));
 }
 
 TEST(FrameTest, EmptyPayloadIsLegal) {

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -522,6 +523,26 @@ TEST_F(ServerTest, ServerFailpointFrameWriteCrashStopsTheServer) {
   (void)client.Run("SHOW MKB");
   server_->WaitUntilStopped();
   EXPECT_EQ(server_->crashed_site(), fp::kNetFrameWrite);
+}
+
+// --- Console refusals --------------------------------------------------------
+
+// Durable state is single-shard: once a journal is attached, the shard count
+// is fixed, and the refusal names the single journal as the reason.
+TEST(ConsoleTest, SetShardsAfterJournalNamesTheSingleJournal) {
+  const std::string journal = ::testing::TempDir() + "console_set_shards_" +
+                              std::to_string(::getpid()) + ".wal";
+  std::remove(journal.c_str());
+  Console console;
+  std::ostringstream out;
+  std::ostringstream err;
+  ASSERT_TRUE(console.Run("JOURNAL '" + journal + "'", out, err)) << err.str();
+  EXPECT_FALSE(console.Run("SET SHARDS 2", out, err));
+  EXPECT_EQ(err.str(),
+            "error: SET SHARDS after JOURNAL is not allowed (the journal is "
+            "the system's single journal, and durable state is "
+            "single-shard)\n");
+  std::remove(journal.c_str());
 }
 
 // --- SplitStatements line accounting (the evectl file:line contract) --------

@@ -1034,23 +1034,27 @@ TEST_F(ClusterTest, MetricsEndpointServesReplicationGauges) {
   ASSERT_EQ(client.Run(Define(1)).value().code, 0);
 
   // Scrape over plain HTTP.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(nodes_[0].node->metrics_port());
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
-  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-  std::string body;
-  char buf[4096];
-  ssize_t n = 0;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    body.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
+  const auto scrape = [&] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(nodes_[0].node->metrics_port());
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+    EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    std::string body;
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+      body.append(buf, static_cast<size_t>(n));
+    }
+    ::close(fd);
+    return body;
+  };
+  const std::string body = scrape();
 
   EXPECT_NE(body.find("200 OK"), std::string::npos);
   EXPECT_NE(body.find("eve_server_accepted_total"), std::string::npos);
@@ -1059,6 +1063,20 @@ TEST_F(ClusterTest, MetricsEndpointServesReplicationGauges) {
   EXPECT_NE(body.find("eve_repl_position 1"), std::string::npos) << body;
   EXPECT_NE(body.find("eve_repl_peer_lag{node=\"n2\"}"), std::string::npos)
       << body;
+
+  // The admission counters are the serving core's queue, the one ENQUEUE
+  // and DRAIN use.
+  ASSERT_EQ(client.Run(Define(2)).value().code, 0);
+  ASSERT_EQ(client.Run("ENQUEUE DELETE ATTRIBUTE Rel1.Age").value().code, 0);
+  ASSERT_EQ(client.Run("ENQUEUE DELETE RELATION Rel2").value().code, 0);
+  ASSERT_EQ(client.Run("DRAIN").value().code, 0);
+  const std::string after = scrape();
+  EXPECT_NE(after.find("eve_admission_submitted_total 2\n"),
+            std::string::npos)
+      << after;
+  EXPECT_NE(after.find("eve_admission_completed_total 2\n"),
+            std::string::npos)
+      << after;
 }
 
 }  // namespace
