@@ -118,7 +118,8 @@ int main() {
       Unwrap(eve::EvolveMkb(mkb, change), "evolving MKB");
 
   const eve::CvsResult result = Unwrap(
-      eve::SynchronizeDeleteRelation(view, "Customer", mkb, evolution.mkb),
+      eve::SynchronizeDeleteRelation(view, "Customer",
+                                     eve::SyncContext{mkb, evolution.mkb}),
       "running CVS");
   if (result.rewritings.empty()) {
     std::cout << "view disabled:\n";

@@ -62,7 +62,8 @@ int main() {
 
   // --- 4. CVS ---------------------------------------------------------------
   const eve::CvsResult result = Unwrap(
-      eve::SynchronizeDeleteRelation(view, "Customer", mkb, evolution.mkb),
+      eve::SynchronizeDeleteRelation(view, "Customer",
+                                     eve::SyncContext{mkb, evolution.mkb}),
       "running CVS");
 
   std::cout << "== Legal rewritings (" << result.rewritings.size()

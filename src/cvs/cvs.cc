@@ -386,32 +386,4 @@ Result<CvsResult> Synchronize(const ViewDefinition& view,
   return Status::Internal("unexpected capability change kind");
 }
 
-Result<CvsResult> SynchronizeDeleteRelation(const ViewDefinition& view,
-                                            const std::string& relation,
-                                            const Mkb& mkb,
-                                            const Mkb& mkb_prime,
-                                            const CvsOptions& options) {
-  const SyncContext context(mkb, mkb_prime);
-  return SynchronizeDeleteRelation(view, relation, context, options);
-}
-
-Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
-                                             const std::string& relation,
-                                             const std::string& attribute,
-                                             const Mkb& mkb,
-                                             const Mkb& mkb_prime,
-                                             const CvsOptions& options) {
-  const SyncContext context(mkb, mkb_prime);
-  return SynchronizeDeleteAttribute(view, relation, attribute, context,
-                                    options);
-}
-
-Result<CvsResult> Synchronize(const ViewDefinition& view,
-                              const CapabilityChange& change, const Mkb& mkb,
-                              const Mkb& mkb_prime,
-                              const CvsOptions& options) {
-  const SyncContext context(mkb, mkb_prime);
-  return Synchronize(view, change, context, options);
-}
-
 }  // namespace eve

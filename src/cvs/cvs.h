@@ -98,8 +98,8 @@ struct CvsResult {
 // synchronization never consults it (renames, adds) pay nothing.
 class SyncContext {
  public:
-  // Borrowing construction: both MKBs must outlive the context (the
-  // single-change convenience path).
+  // Borrowing construction: both MKBs must outlive the context. A single
+  // view is synchronized with a temporary: SyncContext{mkb, mkb_prime}.
   SyncContext(const Mkb& mkb, const Mkb& mkb_prime)
       : mkb_(&mkb), mkb_prime_(&mkb_prime) {}
 
@@ -156,25 +156,6 @@ Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
 Result<CvsResult> Synchronize(const ViewDefinition& view,
                               const CapabilityChange& change,
                               const SyncContext& context,
-                              const CvsOptions& options = {});
-
-// Single-view conveniences: build a one-shot SyncContext internally.
-// Synchronizing many views under one change should construct the context
-// once and use the overloads above.
-Result<CvsResult> SynchronizeDeleteRelation(const ViewDefinition& view,
-                                            const std::string& relation,
-                                            const Mkb& mkb,
-                                            const Mkb& mkb_prime,
-                                            const CvsOptions& options = {});
-Result<CvsResult> SynchronizeDeleteAttribute(const ViewDefinition& view,
-                                             const std::string& relation,
-                                             const std::string& attribute,
-                                             const Mkb& mkb,
-                                             const Mkb& mkb_prime,
-                                             const CvsOptions& options = {});
-Result<CvsResult> Synchronize(const ViewDefinition& view,
-                              const CapabilityChange& change, const Mkb& mkb,
-                              const Mkb& mkb_prime,
                               const CvsOptions& options = {});
 
 // Rewrites view references under a rename change (helper shared with eve/).

@@ -45,7 +45,7 @@ struct ReplacementCandidate {
   std::vector<AttributeRef> unreplaced;
   // Admissible lower bound on this candidate's final ranking cost under
   // the cost model the stream was built with (see CandidateStream; 0 for
-  // the eager enumeration). Candidates leave the stream in nondecreasing
+  // the eager reference enumeration in tests/support). Candidates leave the stream in nondecreasing
   // cost_lower_bound order.
   double cost_lower_bound = 0.0;
 
@@ -63,7 +63,7 @@ struct RReplacementOptions {
   // replacing them opportunistically when a cover happens to sit in the
   // tree (paper Ex. 10). Default off — the paper's Ex. 9 enumerates
   // candidates anchored by indispensable attributes only; turn on for
-  // maximal preservation (see cvs/cost_model.h and bench_cost_model).
+  // maximal preservation (see cvs/cost_model.h and E11 in EXPERIMENTS.md).
   bool chase_optional_covers = false;
   // Optional deadline/cancellation scope for the whole enumeration: the
   // join-tree enumerators spend one unit per frontier set expanded, the
@@ -266,29 +266,6 @@ class CandidateStream {
   EnumerationStats stats_;
   bool deadline_stopped_ = false;
 };
-
-// Enumerates replacement candidates. `mkb` is the PRE-change MKB: the
-// function-of constraints that cover R's attributes mention R and are
-// therefore dropped from MKB', yet they still describe the data (paper
-// Ex. 9 uses F1/F2/F4 after Customer is deleted). `graph_prime` is the
-// join graph of MKB' — candidate join chains must avoid R and be
-// evaluable post-change. An empty result means CVS fails for this view
-// (Def. 3's R-replacement set is empty).
-//
-// Compatibility wrapper: drains a CandidateStream for up to
-// options.max_results candidates and re-applies the historical
-// smallest-tree-first ordering.
-Result<std::vector<ReplacementCandidate>> ComputeRReplacements(
-    const ViewDefinition& view, const RMapping& mapping, const Mkb& mkb,
-    const JoinGraph& graph_prime, const RReplacementOptions& options);
-
-// The pre-refactor eager enumeration, kept verbatim as the reference
-// implementation: the equivalence property test checks the stream against
-// it, and bench_enumeration uses it as the before/after baseline. Not
-// used by the synchronization drivers.
-Result<std::vector<ReplacementCandidate>> ComputeRReplacementsEager(
-    const ViewDefinition& view, const RMapping& mapping, const Mkb& mkb,
-    const JoinGraph& graph_prime, const RReplacementOptions& options);
 
 }  // namespace eve
 

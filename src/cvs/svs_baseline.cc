@@ -8,7 +8,8 @@ Result<CvsResult> SvsSynchronizeDeleteRelation(const ViewDefinition& view,
                                                const Mkb& mkb_prime,
                                                CvsOptions options) {
   options.replacement.max_extra_relations = 0;
-  return SynchronizeDeleteRelation(view, relation, mkb, mkb_prime, options);
+  return SynchronizeDeleteRelation(view, relation, SyncContext{mkb, mkb_prime},
+                                   options);
 }
 
 Result<CvsResult> SvsSynchronizeDeleteAttribute(const ViewDefinition& view,
@@ -18,8 +19,8 @@ Result<CvsResult> SvsSynchronizeDeleteAttribute(const ViewDefinition& view,
                                                 const Mkb& mkb_prime,
                                                 CvsOptions options) {
   options.replacement.max_extra_relations = 0;
-  return SynchronizeDeleteAttribute(view, relation, attribute, mkb, mkb_prime,
-                                    options);
+  return SynchronizeDeleteAttribute(view, relation, attribute,
+                                    SyncContext{mkb, mkb_prime}, options);
 }
 
 }  // namespace eve

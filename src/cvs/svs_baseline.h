@@ -4,8 +4,8 @@
 // replacements directly join-connected to the surviving view relations —
 // no chains of join constraints and no intermediate (Steiner) relations.
 //
-// Implemented as CVS restricted to max_extra_relations = 0, so benchmark
-// E6 can contrast preservation rates as the required join distance grows.
+// Implemented as CVS restricted to max_extra_relations = 0, so E6
+// (cvs_test) can contrast preservation as the required join distance grows.
 
 #ifndef EVE_CVS_SVS_BASELINE_H_
 #define EVE_CVS_SVS_BASELINE_H_

@@ -45,7 +45,7 @@ class Hypergraph {
   std::vector<std::vector<std::string>> RelationComponents() const;
 
   // Human-readable summary (node/edge counts and components) for docs
-  // and the Fig. 4 bench.
+  // and `SHOW HYPERGRAPH`.
   std::string Summary() const;
 
  private:

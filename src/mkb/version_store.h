@@ -69,8 +69,8 @@ struct VersionScrubStats {
   std::string ToString() const;
 };
 
-// Retained (unique segment) vs logical (sum over versions) byte counts —
-// the COW amplification measured by bench_versioning.
+// Retained (unique segment) vs logical (sum over versions) byte counts:
+// logical / retained is the copy-on-write amplification.
 struct VersionByteStats {
   uint64_t retained_bytes = 0;
   uint64_t logical_bytes = 0;

@@ -263,21 +263,22 @@ Status ReplicationHub::WriteNodeStateLocked(uint64_t epoch) {
   return AtomicWriteFile(options_.data_dir + "/node_state", text);
 }
 
-Status ReplicationHub::PersistEpoch(uint64_t epoch) {
+bool ReplicationHub::RaiseObservedEpoch(uint64_t epoch) {
   uint64_t observed = observed_epoch_.load();
   while (observed < epoch &&
          !observed_epoch_.compare_exchange_weak(observed, epoch)) {
   }
+  return observed < epoch;
+}
+
+Status ReplicationHub::PersistEpoch(uint64_t epoch) {
+  RaiseObservedEpoch(epoch);
   std::lock_guard<std::mutex> lock(state_mu_);
   return WriteNodeStateLocked(epoch);
 }
 
 void ReplicationHub::NoteObservedEpoch(uint64_t epoch) {
-  uint64_t observed = observed_epoch_.load();
-  if (epoch <= observed) return;
-  while (observed < epoch &&
-         !observed_epoch_.compare_exchange_weak(observed, epoch)) {
-  }
+  if (!RaiseObservedEpoch(epoch)) return;
   // Best-effort persistence: losing this write only weakens the fence back
   // to the last persisted epoch — the election max over live statuses
   // still prevents collisions in every partition the node can see.
@@ -292,44 +293,55 @@ ReplVote ReplicationHub::HandleVoteRequest(const ReplVoteReq& request) {
   vote.granted = false;
   // The requested epoch feeds the promotion fence whether or not the vote
   // is granted: this node must never later mint an epoch the candidate
-  // may already be using.
-  NoteObservedEpoch(request.epoch);
+  // may already be using. The fence rises in memory here; every path
+  // below makes exactly one node_state write (each takes an fsync, a
+  // rename and a directory fsync, and the candidate's vote wait is short).
+  const bool fence_raised = RaiseObservedEpoch(request.epoch);
+  std::lock_guard<std::mutex> lock(state_mu_);
+  // A refusal persists a raised fence best-effort, as NoteObservedEpoch
+  // does.
+  const auto refuse = [&] {
+    if (fence_raised) (void)WriteNodeStateLocked(epoch_.load());
+    return vote;
+  };
   if (request.candidate.empty() ||
       options_.cluster.count(request.candidate) == 0) {
-    return vote;
+    return refuse();
   }
   const uint64_t own_epoch = epoch_.load();
-  if (request.epoch <= own_epoch) return vote;
+  if (request.epoch <= own_epoch) return refuse();
   // Up-to-date rule: never elect a leader whose log is behind this
   // node's — the acked-commit quorum intersects every vote majority, so
   // this check is what makes acknowledged commits survive elections.
   if (request.last_epoch < own_epoch ||
       (request.last_epoch == own_epoch &&
        request.last_position < position_.load())) {
-    return vote;
+    return refuse();
   }
   // Leader stickiness: a replica still inside its primary's lease refuses
   // to depose it, so a candidate partitioned from a healthy primary (but
   // not from its replicas) cannot assemble a majority against it.
   const ReplRole role = role_.load();
-  if (role == ReplRole::kPrimary || role == ReplRole::kSingle) return vote;
+  if (role == ReplRole::kPrimary || role == ReplRole::kSingle) {
+    return refuse();
+  }
   if (role == ReplRole::kReplica && request.candidate != options_.node_id) {
     const uint64_t heard = last_heartbeat_micros_.load();
     if (heard != 0 && NowMicros() - heard <= options_.lease_micros) {
-      return vote;
+      return refuse();
     }
   }
-  std::lock_guard<std::mutex> lock(state_mu_);
   if (request.epoch < voted_epoch_ ||
       (request.epoch == voted_epoch_ && voted_for_ != request.candidate)) {
-    return vote;  // already spent this epoch's vote on someone else
+    return refuse();  // already spent this epoch's vote on someone else
   }
   const uint64_t prev_epoch = voted_epoch_;
   const std::string prev_for = voted_for_;
   voted_epoch_ = request.epoch;
   voted_for_ = request.candidate;
   // The grant is only valid once durable: an unpersisted vote could be
-  // re-cast for a different candidate after a restart.
+  // re-cast for a different candidate after a restart. The same write
+  // persists the raised fence.
   if (!WriteNodeStateLocked(epoch_.load()).ok()) {
     voted_epoch_ = prev_epoch;
     voted_for_ = prev_for;

@@ -310,6 +310,8 @@ class ReplicationHub {
   // Writes node_state with `epoch`, the (monotonic) observed epoch, and
   // the persisted vote.
   Status PersistEpoch(uint64_t epoch);
+  // Raises observed_epoch_ to `epoch` in memory only; true when it rose.
+  bool RaiseObservedEpoch(uint64_t epoch);
   // Serializes every node_state write so a concurrent best-effort
   // observed-epoch write can never clobber a just-persisted vote. Caller
   // holds state_mu_.

@@ -1,7 +1,7 @@
 // Synthetic workload generators: parameterized MKB topologies (chain,
 // star, grid), cover placement at controlled join distance, random
 // connected views, and database states — the drivers for property tests
-// and the E6/E7/E9 benchmarks.
+// and the E6/E7/E9 reproductions (EXPERIMENTS.md).
 //
 // Naming scheme for generated elements (all integer-typed):
 //   relation  R<i>            (source "IS<i>")
@@ -54,7 +54,7 @@ Result<Mkb> MakeStarMkb(size_t num_spokes);
 // row).
 Result<Mkb> MakeGridMkb(size_t rows, size_t cols);
 
-// Cover fan: the enumeration-benchmark topology. A victim relation R0
+// Cover fan: the enumeration test topology (and perfbench deep-search's). A victim relation R0
 // (payload P0, link L0) joins an anchor A0, which heads a backbone chain
 // B1..B<m>. Cover i of R0.P0 sits on B<i> — at join distance i from the
 // anchor — so after DELETE RELATION R0 the candidate rewritings have
@@ -135,8 +135,8 @@ Result<std::vector<ViewDefinition>> MakeViewPool(const Mkb& mkb,
 Status PopulateSyntheticDatabase(const Mkb& mkb, Database* db,
                                  size_t rows_per_table, uint64_t seed);
 
-// Per-relation bulk-data spec for executor-scale workloads (the
-// bench_executor 10M-row sources). Deterministic: the same spec (incl.
+// Per-relation bulk-data spec for executor-scale workloads (skewed join
+// keys and payloads). Deterministic: the same spec (incl.
 // seed) always produces the same rows, in the same order.
 struct SkewedDataSpec {
   size_t rows = 1000;

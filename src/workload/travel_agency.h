@@ -1,7 +1,7 @@
 // The paper's running example (Ex. 1, Fig. 2): the travel-agency
 // federation — seven relations across seven ISs, join constraints JC1–JC6
 // and function-of constraints F1–F7 — plus the Ex. 4 Person extension and
-// the PC constraints the extent examples rely on. Used by tests, benches
+// the PC constraints the extent examples rely on. Used by tests
 // and examples as the canonical fixture.
 
 #ifndef EVE_WORKLOAD_TRAVEL_AGENCY_H_

@@ -21,12 +21,14 @@
 #include "common/cancellation.h"
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
+#include "cvs/cvs.h"
 #include "esql/view_definition.h"
 #include "eve/eve_system.h"
 #include "eve/sharded_system.h"
 #include "federation/monitor.h"
 #include "federation/transport.h"
 #include "mkb/capability_change.h"
+#include "mkb/evolution.h"
 #include "workload/generator.h"
 
 namespace eve {
@@ -229,6 +231,41 @@ TEST(MonitorDeadlineTest, ProbeFanOutIsBudgetedDeterministically) {
   EXPECT_EQ(monitor.stats().probes_skipped, skipped);
 }
 
+// A token whose budget can never fire must not change the answer: on the
+// cover-fan search at 8 and 16 covers, the tokened run returns the
+// token-free run's rewritings byte for byte and is not marked partial.
+TEST(DeadlineTokenTest, NonFiringTokenLeavesTheRewritingsUnchanged) {
+  for (const size_t covers : {8u, 16u}) {
+    SCOPED_TRACE("covers " + std::to_string(covers));
+    CoverFanMkbSpec spec;
+    spec.num_covers = covers;
+    const Mkb mkb = MakeCoverFanMkb(spec).MoveValue();
+    const ViewDefinition view = MakeCoverFanView(mkb).MoveValue();
+    const Mkb mkb_prime =
+        EvolveMkb(mkb, CapabilityChange::DeleteRelation("R0")).MoveValue().mkb;
+    CvsOptions options;
+    options.replacement.max_results = 1000000;
+    options.replacement.max_cover_combinations = 1000000;
+    options.replacement.max_extra_relations = covers;
+    const CvsResult bare =
+        SynchronizeDeleteRelation(view, "R0", SyncContext{mkb, mkb_prime},
+                                  options)
+            .value();
+    options.replacement.token = DeadlineToken::Root({1ull << 60, 0});
+    const CvsResult tokened =
+        SynchronizeDeleteRelation(view, "R0", SyncContext{mkb, mkb_prime},
+                                  options)
+            .value();
+    EXPECT_FALSE(tokened.enumeration.deadline.partial);
+    ASSERT_EQ(tokened.rewritings.size(), bare.rewritings.size());
+    for (size_t i = 0; i < bare.rewritings.size(); ++i) {
+      EXPECT_EQ(tokened.rewritings[i].view.ToString(),
+                bare.rewritings[i].view.ToString())
+          << "rank " << i;
+    }
+  }
+}
+
 // --- Admission control (the serving core's queue) ----------------------------
 
 // Chain workload matching parallel_sync_test's batch workload: deleting R1
@@ -299,6 +336,35 @@ TEST(AdmissionTest, FullQueueShedsTheNewestSubmissionExplicitly) {
   EXPECT_TRUE(
       system.EnqueueChange(CapabilityChange::DeleteRelation("R20")).ok());
   ExpectAdmissionInvariant(system);
+}
+
+// Overload cycles as eved meets them: six changes submitted against a
+// queue of 2, 4 or 6 under a per-view work budget of 200. The excess is
+// shed explicitly and everything admitted drains without error.
+TEST(AdmissionTest, OverloadCyclesShedTheExcessAndDrainTheRest) {
+  const std::vector<CapabilityChange> batch = {
+      CapabilityChange::DeleteRelation("R1"),
+      CapabilityChange::DeleteAttribute("R10", "P10"),
+      CapabilityChange::DeleteRelation("R20"),
+      CapabilityChange::DeleteAttribute("R12", "P12"),
+      CapabilityChange::DeleteRelation("R5"),
+      CapabilityChange::DeleteAttribute("R15", "P15"),
+  };
+  for (const size_t limit : {2u, 4u, 6u}) {
+    SCOPED_TRACE("queue limit " + std::to_string(limit));
+    ShardedEveSystem system = MakeServingCore(8);
+    system.SetSyncQueueLimit(limit);
+    system.shard(0).SetSyncWorkBudget(200);
+    for (const CapabilityChange& change : batch) {
+      (void)system.EnqueueChange(change);  // overflow sheds explicitly
+    }
+    const Result<std::vector<ChangeReport>> reports = system.DrainSyncQueue();
+    ASSERT_TRUE(reports.ok()) << reports.status();
+    EXPECT_EQ(reports.value().size(), limit);
+    EXPECT_EQ(system.admission_stats().shed, batch.size() - limit);
+    EXPECT_EQ(system.admission_stats().completed, limit);
+    ExpectAdmissionInvariant(system);
+  }
 }
 
 TEST(AdmissionTest, DrainStopsAtAFailingChangeAndKeepsTheRemainder) {

@@ -52,7 +52,8 @@ TEST(DeleteAttributeEdgeTest, UnreachableCoverDisablesView) {
                         .MoveValue()
                         .mkb;
   const CvsResult result =
-      SynchronizeDeleteAttribute(view, "A", "a", mkb, prime, {}).value();
+      SynchronizeDeleteAttribute(view, "A", "a", SyncContext{mkb, prime}, {})
+          .value();
   EXPECT_TRUE(result.rewritings.empty());
   bool mentioned = false;
   for (const std::string& diagnostic : result.diagnostics) {
@@ -84,7 +85,8 @@ TEST(DeleteAttributeEdgeTest, ReachableCoverIsUsed) {
                         .MoveValue()
                         .mkb;
   const CvsResult result =
-      SynchronizeDeleteAttribute(view, "A", "a", mkb, prime, {}).value();
+      SynchronizeDeleteAttribute(view, "A", "a", SyncContext{mkb, prime}, {})
+          .value();
   ASSERT_FALSE(result.rewritings.empty());
   const ViewDefinition& rewritten = result.rewritings[0].view;
   EXPECT_TRUE(rewritten.HasFromRelation("B"));
@@ -199,7 +201,7 @@ TEST(DispatchSmokeTest, AllChangeKinds) {
     const auto evolution = EvolveMkb(mkb, change);
     ASSERT_TRUE(evolution.ok()) << change.ToString();
     const Result<CvsResult> result =
-        Synchronize(view, change, mkb, evolution.value().mkb, {});
+        Synchronize(view, change, SyncContext{mkb, evolution.value().mkb}, {});
     ASSERT_TRUE(result.ok()) << change.ToString();
     EXPECT_EQ(result.value().rewritings.size(), 1u) << change.ToString();
   }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "cvs/cost_model.h"
 #include "cvs/cvs.h"
 #include "esql/binder.h"
@@ -27,8 +31,8 @@ class CostModelTest : public ::testing::Test {
   CvsResult Run(const RewritingCostModel& model) {
     CvsOptions options;
     options.cost_model = model;
-    return SynchronizeDeleteRelation(view_, "Customer", mkb_, mkb_prime_,
-                                     options)
+    return SynchronizeDeleteRelation(view_, "Customer",
+                                     SyncContext{mkb_, mkb_prime_}, options)
         .MoveValue();
   }
 
@@ -134,8 +138,8 @@ TEST_F(CostModelTest, CostModelAppliesToDeleteAttribute) {
   CvsOptions options;
   options.cost_model = RewritingCostModel{};
   const CvsResult result =
-      SynchronizeDeleteAttribute(view, "Customer", "Addr", mkb, prime,
-                                 options)
+      SynchronizeDeleteAttribute(view, "Customer", "Addr",
+                                 SyncContext{mkb, prime}, options)
           .value();
   ASSERT_FALSE(result.rewritings.empty());
   // One extra relation (Person) joined in; nothing dropped.
@@ -144,7 +148,7 @@ TEST_F(CostModelTest, CostModelAppliesToDeleteAttribute) {
 }
 
 TEST_F(CostModelTest, ChaseOptionalCoversEndToEnd) {
-  // Chain scenario from bench_cost_model: R1's payload is dispensable and
+  // One chain scenario of E11 (EXPERIMENTS.md): R1's payload is dispensable and
   // its cover sits 3 joins away. Lexicographic ranking drops it; with the
   // cost model + chasing, the preserving rewriting wins.
   ChainMkbSpec spec;
@@ -165,24 +169,113 @@ TEST_F(CostModelTest, ChaseOptionalCoversEndToEnd) {
 
   // Lexicographic: the drop-based candidate (extent equal) ranks first.
   const CvsResult lexicographic =
-      SynchronizeDeleteRelation(view, "R1", mkb, prime, options).value();
+      SynchronizeDeleteRelation(view, "R1", SyncContext{mkb, prime}, options)
+          .value();
   ASSERT_FALSE(lexicographic.rewritings.empty());
   EXPECT_EQ(lexicographic.rewritings.front().view.select().size(), 1u);
 
   // Cost model: preserving P1 through the cover chain wins.
   options.cost_model = RewritingCostModel{};
   const CvsResult costed =
-      SynchronizeDeleteRelation(view, "R1", mkb, prime, options).value();
+      SynchronizeDeleteRelation(view, "R1", SyncContext{mkb, prime}, options)
+          .value();
   ASSERT_FALSE(costed.rewritings.empty());
   EXPECT_EQ(costed.rewritings.front().view.select().size(), 2u);
   EXPECT_TRUE(costed.rewritings.front().view.HasFromRelation("R4"));
+}
+
+// E11 (EXPERIMENTS.md): the ranking ablation over nine chain scenarios
+// (cover distance 2..4 x victim position 1..3, the victim's payload
+// dispensable, covers chased). Per ranking, the first-ranked rewriting
+// keeps every attribute / has a known extent in:
+//   lexicographic            0/9 kept, 9/9 known, 0 extra joins
+//   cost model (default)     6/9 kept, 3/9 known, 6 extra joins
+//   cost model (join-averse) 0/9 kept, 9/9 known, 0 extra joins
+struct RankingTally {
+  size_t scenarios = 0;
+  size_t all_attributes_kept = 0;
+  size_t extent_known = 0;
+  size_t extra_relations = 0;
+};
+
+RankingTally RunRankingAblation(
+    const std::optional<RewritingCostModel>& model) {
+  RankingTally tally;
+  for (size_t cover_distance = 2; cover_distance <= 4; ++cover_distance) {
+    for (size_t victim_pos = 1; victim_pos <= 3; ++victim_pos) {
+      ChainMkbSpec spec;
+      spec.length = 10;
+      spec.skip_edges = true;
+      spec.cover_distance = cover_distance;
+      const Mkb mkb = MakeChainMkb(spec).value();
+      ViewDefinition view = MakeChainView(mkb, victim_pos - 1, 2).value();
+      const std::string victim = "R" + std::to_string(victim_pos);
+      for (ViewSelectItem& item : *view.mutable_select()) {
+        const std::vector<std::string> refs =
+            item.expr->ReferencedRelations();
+        if (!refs.empty() && refs[0] == victim) {
+          item.params = EvolutionParams{true, true};
+        }
+      }
+      const Mkb prime =
+          EvolveMkb(mkb, CapabilityChange::DeleteRelation(victim))
+              .value()
+              .mkb;
+      CvsOptions options;
+      options.require_view_extent = false;
+      options.replacement.max_extra_relations = 5;
+      options.replacement.chase_optional_covers = true;
+      options.cost_model = model;
+      const CvsResult result =
+          SynchronizeDeleteRelation(view, victim, SyncContext{mkb, prime},
+                                    options)
+              .value();
+      EXPECT_FALSE(result.rewritings.empty()) << victim;
+      if (result.rewritings.empty()) continue;
+      const SynchronizedView& pick = result.rewritings.front();
+      ++tally.scenarios;
+      if (pick.view.select().size() == view.select().size()) {
+        ++tally.all_attributes_kept;
+      }
+      if (pick.legality.inferred_extent != ExtentRelation::kUnknown) {
+        ++tally.extent_known;
+      }
+      if (pick.view.from().size() > view.from().size()) {
+        tally.extra_relations += pick.view.from().size() - view.from().size();
+      }
+    }
+  }
+  return tally;
+}
+
+TEST(RankingAblationTest, E11CountsPerRanking) {
+  const RankingTally lexicographic = RunRankingAblation(std::nullopt);
+  EXPECT_EQ(lexicographic.scenarios, 9u);
+  EXPECT_EQ(lexicographic.all_attributes_kept, 0u);
+  EXPECT_EQ(lexicographic.extent_known, 9u);
+  EXPECT_EQ(lexicographic.extra_relations, 0u);
+
+  const RankingTally cost_default = RunRankingAblation(RewritingCostModel{});
+  EXPECT_EQ(cost_default.scenarios, 9u);
+  EXPECT_EQ(cost_default.all_attributes_kept, 6u);
+  EXPECT_EQ(cost_default.extent_known, 3u);
+  EXPECT_EQ(cost_default.extra_relations, 6u);
+
+  RewritingCostModel join_averse;
+  join_averse.extra_relation_penalty = 50.0;
+  const RankingTally lean = RunRankingAblation(join_averse);
+  EXPECT_EQ(lean.scenarios, 9u);
+  EXPECT_EQ(lean.all_attributes_kept, 0u);
+  EXPECT_EQ(lean.extent_known, 9u);
+  EXPECT_EQ(lean.extra_relations, 0u);
 }
 
 TEST_F(CostModelTest, WithoutCostModelUsesDefaultRanking) {
   // With no explicit cost model the built-in default ranking scores every
   // rewriting, and the result comes back sorted by that total.
   const CvsResult result =
-      SynchronizeDeleteRelation(view_, "Customer", mkb_, mkb_prime_)
+      SynchronizeDeleteRelation(view_, "Customer",
+                                SyncContext{mkb_, mkb_prime_})
           .MoveValue();
   ASSERT_FALSE(result.rewritings.empty());
   for (size_t i = 1; i < result.rewritings.size(); ++i) {

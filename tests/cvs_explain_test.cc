@@ -22,7 +22,8 @@ class ExplainTest : public ::testing::Test {
             .MoveValue()
             .mkb;
     result_ =
-        SynchronizeDeleteRelation(view_, "Customer", mkb_, mkb_prime_)
+        SynchronizeDeleteRelation(view_, "Customer",
+                                  SyncContext{mkb_, mkb_prime_})
             .MoveValue();
   }
 
@@ -96,7 +97,8 @@ TEST_F(ExplainTest, DropBasedRewritingNoted) {
       mkb_.catalog())
                                        .value();
   const CvsResult result =
-      SynchronizeDeleteRelation(droppable, "Customer", mkb_, mkb_prime_)
+      SynchronizeDeleteRelation(droppable, "Customer",
+                                SyncContext{mkb_, mkb_prime_})
           .value();
   const SynchronizedView* drop = nullptr;
   for (const SynchronizedView& synced : result.rewritings) {

@@ -90,7 +90,8 @@ class ExtentInferenceTest : public ::testing::Test {
     CvsOptions options;
     options.require_view_extent = false;
     const CvsResult result =
-        SynchronizeDeleteRelation(view, "Customer", mkb_, evolution.mkb,
+        SynchronizeDeleteRelation(view, "Customer",
+                                  SyncContext{mkb_, evolution.mkb},
                                   options)
             .value();
     for (const SynchronizedView& rewriting : result.rewritings) {
@@ -234,8 +235,8 @@ TEST_F(EmpiricalExtentTest, PaperExample4SupersetHoldsEmpirically) {
                                                             "Addr"))
           .value();
   const CvsResult result =
-      SynchronizeDeleteAttribute(original, "Customer", "Addr", extended,
-                                 evolution.mkb, {})
+      SynchronizeDeleteAttribute(original, "Customer", "Addr",
+                                 SyncContext{extended, evolution.mkb}, {})
           .value();
   ASSERT_FALSE(result.rewritings.empty());
   // Evaluate both views against the pre-change catalog: the physical

@@ -5,6 +5,7 @@
 #include "esql/binder.h"
 #include "hypergraph/join_graph.h"
 #include "mkb/evolution.h"
+#include "support/r_replacement_oracle.h"
 #include "workload/travel_agency.h"
 
 namespace eve {

@@ -7,6 +7,7 @@
 #include "hypergraph/join_graph.h"
 #include "mkb/evolution.h"
 #include "sql/parser.h"
+#include "support/r_replacement_oracle.h"
 #include "workload/travel_agency.h"
 
 namespace eve {

@@ -32,7 +32,8 @@ class CvsDeleteRelationTest : public ::testing::Test {
 // End-to-end reproduction of paper Examples 5-10.
 TEST_F(CvsDeleteRelationTest, ProducesBothPaperRewritings) {
   const CvsResult result =
-      SynchronizeDeleteRelation(view_, "Customer", mkb_, mkb_prime_)
+      SynchronizeDeleteRelation(view_, "Customer",
+                                SyncContext{mkb_, mkb_prime_})
           .value();
   ASSERT_EQ(result.rewritings.size(), 2u);
   // Ranked first: the Accident-Ins rewriting (extent superset via PC-AI).
@@ -51,7 +52,8 @@ TEST_F(CvsDeleteRelationTest, RewritingsEvaluateOverDatabase) {
   Database db;
   ASSERT_TRUE(PopulateTravelAgencyDatabase(mkb_, &db, 60, 17).ok());
   const CvsResult result =
-      SynchronizeDeleteRelation(view_, "Customer", mkb_, mkb_prime_)
+      SynchronizeDeleteRelation(view_, "Customer",
+                                SyncContext{mkb_, mkb_prime_})
           .value();
   const Table original =
       EvaluateView(view_, db, mkb_.catalog()).value();
@@ -78,7 +80,8 @@ TEST_F(CvsDeleteRelationTest, UnaffectedViewReturnedUnchanged) {
       mkb_.catalog())
                                    .value();
   const CvsResult result =
-      SynchronizeDeleteRelation(other, "Customer", mkb_, mkb_prime_)
+      SynchronizeDeleteRelation(other, "Customer",
+                                SyncContext{mkb_, mkb_prime_})
           .value();
   ASSERT_EQ(result.rewritings.size(), 1u);
   EXPECT_EQ(result.rewritings[0].view.name(), "V");
@@ -89,7 +92,8 @@ TEST_F(CvsDeleteRelationTest, NonReplaceableRelationSkipsReplacementPath) {
   ViewDefinition rigid = view_;
   (*rigid.mutable_from())[0].params = EvolutionParams{false, false};
   const CvsResult result =
-      SynchronizeDeleteRelation(rigid, "Customer", mkb_, mkb_prime_)
+      SynchronizeDeleteRelation(rigid, "Customer",
+                                SyncContext{mkb_, mkb_prime_})
           .value();
   EXPECT_TRUE(result.rewritings.empty());
   EXPECT_FALSE(result.diagnostics.empty());
@@ -99,7 +103,8 @@ TEST_F(CvsDeleteRelationTest, VeSupersetFiltersUnjustifiedCandidates) {
   ViewDefinition demanding = view_;
   demanding.set_extent(ViewExtent::kSuperset);
   const CvsResult result =
-      SynchronizeDeleteRelation(demanding, "Customer", mkb_, mkb_prime_)
+      SynchronizeDeleteRelation(demanding, "Customer",
+                                SyncContext{mkb_, mkb_prime_})
           .value();
   // Only the Accident-Ins rewriting has PC justification.
   ASSERT_EQ(result.rewritings.size(), 1u);
@@ -112,7 +117,8 @@ TEST_F(CvsDeleteRelationTest, VeEqualDisablesView) {
   ViewDefinition demanding = view_;
   demanding.set_extent(ViewExtent::kEqual);
   const CvsResult result =
-      SynchronizeDeleteRelation(demanding, "Customer", mkb_, mkb_prime_)
+      SynchronizeDeleteRelation(demanding, "Customer",
+                                SyncContext{mkb_, mkb_prime_})
           .value();
   EXPECT_TRUE(result.rewritings.empty());
 }
@@ -125,7 +131,8 @@ TEST_F(CvsDeleteRelationTest, DropPathUsedWhenAllComponentsDispensable) {
       mkb_.catalog())
                                        .value();
   const CvsResult result =
-      SynchronizeDeleteRelation(droppable, "Customer", mkb_, mkb_prime_)
+      SynchronizeDeleteRelation(droppable, "Customer",
+                                SyncContext{mkb_, mkb_prime_})
           .value();
   ASSERT_FALSE(result.rewritings.empty());
   bool has_drop = false;
@@ -142,7 +149,8 @@ TEST_F(CvsDeleteRelationTest, DropPathUsedWhenAllComponentsDispensable) {
 
 TEST_F(CvsDeleteRelationTest, RenamedRewritingsGetDistinctNames) {
   const CvsResult result =
-      SynchronizeDeleteRelation(view_, "Customer", mkb_, mkb_prime_)
+      SynchronizeDeleteRelation(view_, "Customer",
+                                SyncContext{mkb_, mkb_prime_})
           .value();
   ASSERT_EQ(result.rewritings.size(), 2u);
   EXPECT_NE(result.rewritings[0].view.name(),
@@ -161,7 +169,7 @@ TEST_F(CvsDeleteRelationTest, OrConditionReferencingRIsSubstituted) {
       mkb_.catalog())
                                   .value();
   const CvsResult result =
-      SynchronizeDeleteRelation(view, "Customer", mkb_, mkb_prime_)
+      SynchronizeDeleteRelation(view, "Customer", SyncContext{mkb_, mkb_prime_})
           .value();
   ASSERT_FALSE(result.rewritings.empty());
   const ViewDefinition& rewritten = result.rewritings.front().view;
@@ -193,7 +201,7 @@ TEST_F(CvsDeleteRelationTest, DispensableOrConditionDroppedWhenUncoverable) {
       mkb_.catalog())
                                   .value();
   const CvsResult result =
-      SynchronizeDeleteRelation(view, "Customer", mkb_, mkb_prime_)
+      SynchronizeDeleteRelation(view, "Customer", SyncContext{mkb_, mkb_prime_})
           .value();
   ASSERT_FALSE(result.rewritings.empty());
   for (const ViewCondition& cond : result.rewritings.front().view.where()) {
@@ -224,8 +232,8 @@ class CvsDeleteAttributeTest : public ::testing::Test {
 // Paper Eq. (4): Addr replaced by Person.PAddr through JC-CP.
 TEST_F(CvsDeleteAttributeTest, ProducesPaperEquation4) {
   const CvsResult result =
-      SynchronizeDeleteAttribute(view_, "Customer", "Addr", mkb_,
-                                 mkb_prime_, {})
+      SynchronizeDeleteAttribute(view_, "Customer", "Addr",
+                                 SyncContext{mkb_, mkb_prime_}, {})
           .value();
   ASSERT_FALSE(result.rewritings.empty());
   const SynchronizedView& eq4 = result.rewritings.front();
@@ -262,8 +270,8 @@ TEST_F(CvsDeleteAttributeTest, DispensableAttributeDropped) {
       EvolveMkb(mkb_, CapabilityChange::DeleteAttribute("Customer", "Phone"))
           .value();
   const CvsResult result =
-      SynchronizeDeleteAttribute(view_, "Customer", "Phone", mkb_,
-                                 evolution.mkb, {})
+      SynchronizeDeleteAttribute(view_, "Customer", "Phone",
+                                 SyncContext{mkb_, evolution.mkb}, {})
           .value();
   ASSERT_FALSE(result.rewritings.empty());
   const SynchronizedView& dropped = result.rewritings.front();
@@ -279,8 +287,8 @@ TEST_F(CvsDeleteAttributeTest, UnreferencedAttributeLeavesViewUnchanged) {
       EvolveMkb(mkb_, CapabilityChange::DeleteAttribute("Customer", "Age"))
           .value();
   const CvsResult result =
-      SynchronizeDeleteAttribute(view_, "Customer", "Age", mkb_,
-                                 evolution.mkb, {})
+      SynchronizeDeleteAttribute(view_, "Customer", "Age",
+                                 SyncContext{mkb_, evolution.mkb}, {})
           .value();
   ASSERT_EQ(result.rewritings.size(), 1u);
   EXPECT_EQ(result.rewritings[0].view.name(), view_.name());
@@ -297,8 +305,8 @@ TEST_F(CvsDeleteAttributeTest, NoCoverDisablesView) {
       EvolveMkb(mkb_, CapabilityChange::DeleteAttribute("FlightRes", "Dest"))
           .value();
   const CvsResult result =
-      SynchronizeDeleteAttribute(rigid, "FlightRes", "Dest", mkb_,
-                                 evolution.mkb, {})
+      SynchronizeDeleteAttribute(rigid, "FlightRes", "Dest",
+                                 SyncContext{mkb_, evolution.mkb}, {})
           .value();
   EXPECT_TRUE(result.rewritings.empty());
   EXPECT_FALSE(result.diagnostics.empty());
@@ -311,8 +319,8 @@ TEST_F(CvsDeleteAttributeTest, DispensableConditionDroppedWidensExtent) {
       EvolveMkb(mkb_, CapabilityChange::DeleteAttribute("FlightRes", "Dest"))
           .value();
   const CvsResult result =
-      SynchronizeDeleteAttribute(view_, "FlightRes", "Dest", mkb_,
-                                 evolution.mkb, {})
+      SynchronizeDeleteAttribute(view_, "FlightRes", "Dest",
+                                 SyncContext{mkb_, evolution.mkb}, {})
           .value();
   ASSERT_FALSE(result.rewritings.empty());
   EXPECT_TRUE(result.rewritings[0].is_drop);
@@ -341,7 +349,7 @@ TEST_F(SynchronizeDispatchTest, AddChangesAreNoOps) {
   const CapabilityChange change = CapabilityChange::AddRelation(def);
   const auto evolution = EvolveMkb(mkb_, change).value();
   const CvsResult result =
-      Synchronize(view_, change, mkb_, evolution.mkb, {}).value();
+      Synchronize(view_, change, SyncContext{mkb_, evolution.mkb}, {}).value();
   ASSERT_EQ(result.rewritings.size(), 1u);
   EXPECT_EQ(result.rewritings[0].view.ToString(), view_.ToString());
 }
@@ -351,7 +359,7 @@ TEST_F(SynchronizeDispatchTest, RenameRelationRewritesReferences) {
       CapabilityChange::RenameRelation("Customer", "Client");
   const auto evolution = EvolveMkb(mkb_, change).value();
   const CvsResult result =
-      Synchronize(view_, change, mkb_, evolution.mkb, {}).value();
+      Synchronize(view_, change, SyncContext{mkb_, evolution.mkb}, {}).value();
   ASSERT_EQ(result.rewritings.size(), 1u);
   const ViewDefinition& renamed = result.rewritings[0].view;
   EXPECT_TRUE(renamed.HasFromRelation("Client"));
@@ -365,7 +373,7 @@ TEST_F(SynchronizeDispatchTest, RenameAttributeRewritesReferences) {
       CapabilityChange::RenameAttribute("FlightRes", "Dest", "Destination");
   const auto evolution = EvolveMkb(mkb_, change).value();
   const CvsResult result =
-      Synchronize(view_, change, mkb_, evolution.mkb, {}).value();
+      Synchronize(view_, change, SyncContext{mkb_, evolution.mkb}, {}).value();
   const ViewDefinition& renamed = result.rewritings[0].view;
   EXPECT_TRUE(renamed.ReferencesAttribute({"FlightRes", "Destination"}));
   EXPECT_FALSE(renamed.ReferencesAttribute({"FlightRes", "Dest"}));
@@ -376,7 +384,7 @@ TEST_F(SynchronizeDispatchTest, DeleteDispatchesToCvs) {
       CapabilityChange::DeleteRelation("Customer");
   const auto evolution = EvolveMkb(mkb_, change).value();
   const CvsResult result =
-      Synchronize(view_, change, mkb_, evolution.mkb, {}).value();
+      Synchronize(view_, change, SyncContext{mkb_, evolution.mkb}, {}).value();
   EXPECT_FALSE(result.rewritings.empty());
   EXPECT_FALSE(result.rewritings[0].view.ReferencesRelation("Customer"));
 }
@@ -413,7 +421,8 @@ TEST(SvsBaselineTest, MultiHopCoverOnlyFoundByCvs) {
   EXPECT_TRUE(svs.rewritings.empty());
 
   const CvsResult cvs =
-      SynchronizeDeleteRelation(view, "R1", mkb, evolution.mkb).value();
+      SynchronizeDeleteRelation(view, "R1", SyncContext{mkb, evolution.mkb})
+          .value();
   ASSERT_FALSE(cvs.rewritings.empty());
   // The cover relation R4 must be joined in.
   EXPECT_TRUE(cvs.rewritings[0].view.HasFromRelation("R4"));
@@ -433,6 +442,146 @@ TEST(SvsBaselineTest, DirectCoverFoundByBoth) {
   const CvsResult svs =
       SvsSynchronizeDeleteRelation(view, "R1", mkb, evolution.mkb).value();
   EXPECT_FALSE(svs.rewritings.empty());
+}
+
+// E6 (EXPERIMENTS.md): chain federation, view over {R0, R1}, delete R1,
+// with the cover of R1.P1 at join distance d from R0. SVS (one step
+// away) preserves the view only at d = 1, via the R0-R2 skip edge; CVS,
+// searching up to 6 extra relations, preserves it at every d in 1..6.
+TEST(SvsBaselineTest, CoverDistanceSweepMatchesE6) {
+  for (size_t distance = 1; distance <= 6; ++distance) {
+    SCOPED_TRACE("cover distance " + std::to_string(distance));
+    ChainMkbSpec spec;
+    spec.length = 10;
+    spec.skip_edges = true;
+    spec.cover_distance = distance;
+    const Mkb mkb = MakeChainMkb(spec).value();
+    const ViewDefinition view = MakeChainView(mkb, 0, 2).value();
+    const Mkb prime =
+        EvolveMkb(mkb, CapabilityChange::DeleteRelation("R1")).value().mkb;
+    const CvsResult svs =
+        SvsSynchronizeDeleteRelation(view, "R1", mkb, prime).value();
+    EXPECT_EQ(svs.ViewPreserved(), distance == 1);
+    CvsOptions deep;
+    deep.replacement.max_extra_relations = 6;
+    const CvsResult cvs =
+        SynchronizeDeleteRelation(view, "R1", SyncContext{mkb, prime}, deep)
+            .value();
+    EXPECT_TRUE(cvs.ViewPreserved());
+  }
+}
+
+// --- E5: Fig. 3 evolution-parameter semantics ------------------------------
+
+// How the first-ranked rewriting treats the probe view's Customer item.
+std::string DescribeOutcome(const CvsResult& result) {
+  if (result.rewritings.empty()) return "disabled";
+  const SynchronizedView& best = result.rewritings.front();
+  if (best.is_drop) return "drop";
+  for (const ViewSelectItem& item : best.view.select()) {
+    if (item.output_name == "Name") return "replaced";
+  }
+  return "attr dropped";
+}
+
+// All 16 (AD, AR) x (RD, RR) settings on a probe view (one Customer
+// attribute, one indispensable join condition with FlightRes) under
+// delete-relation Customer. RR = false blocks the replacement, and the
+// indispensable join condition blocks dropping Customer, so the view is
+// disabled; (AD, AR) = (false, false) disables it under every relation
+// setting; with RR = true a replaceable attribute is rewritten through a
+// cover and a dispensable non-replaceable one is dropped.
+TEST(EvolutionParamsTest, Fig3MatrixUnderDeleteRelation) {
+  const Mkb mkb = MakeTravelAgencyMkb().value();
+  const Mkb prime =
+      EvolveMkb(mkb, CapabilityChange::DeleteRelation("Customer"))
+          .value()
+          .mkb;
+  struct Cell {
+    EvolutionParams attribute;
+    EvolutionParams relation;
+    const char* outcome;
+  };
+  const Cell cells[] = {
+      {{false, false}, {false, false}, "disabled"},
+      {{false, false}, {false, true}, "disabled"},
+      {{false, false}, {true, false}, "disabled"},
+      {{false, false}, {true, true}, "disabled"},
+      {{false, true}, {false, false}, "disabled"},
+      {{false, true}, {false, true}, "replaced"},
+      {{false, true}, {true, false}, "disabled"},
+      {{false, true}, {true, true}, "replaced"},
+      {{true, false}, {false, false}, "disabled"},
+      {{true, false}, {false, true}, "attr dropped"},
+      {{true, false}, {true, false}, "disabled"},
+      {{true, false}, {true, true}, "attr dropped"},
+      {{true, true}, {false, false}, "disabled"},
+      {{true, true}, {false, true}, "replaced"},
+      {{true, true}, {true, false}, "disabled"},
+      {{true, true}, {true, true}, "replaced"},
+  };
+  for (const Cell& cell : cells) {
+    SCOPED_TRACE("attribute " + cell.attribute.ToString() + ", relation " +
+                 cell.relation.ToString());
+    ViewDefinition view = ParseAndBindView(
+                              "CREATE VIEW Probe AS "
+                              "SELECT C.Name, F.Airline (true, true) "
+                              "FROM Customer C, FlightRes F "
+                              "WHERE C.Name = F.PName",
+                              mkb.catalog())
+                              .value();
+    (*view.mutable_select())[0].params = cell.attribute;
+    (*view.mutable_from())[0].params = cell.relation;
+    const CvsResult result =
+        SynchronizeDeleteRelation(view, "Customer", SyncContext{mkb, prime})
+            .value();
+    EXPECT_EQ(DescribeOutcome(result), cell.outcome);
+  }
+}
+
+// --- E7: scalability shape --------------------------------------------------
+
+// The view survives deleting R1 on skip-edge chains of every size: the
+// R-mapping anchors the search, so MKB size does not change the answer.
+TEST(ChainScalingTest, ViewPreservedAtEveryChainSize) {
+  for (const size_t length : {10u, 50u, 200u, 1000u}) {
+    SCOPED_TRACE("chain length " + std::to_string(length));
+    ChainMkbSpec spec;
+    spec.length = length;
+    spec.skip_edges = true;
+    spec.cover_distance = 2;
+    const Mkb mkb = MakeChainMkb(spec).value();
+    const ViewDefinition view = MakeChainView(mkb, 0, 3).value();
+    const Mkb prime =
+        EvolveMkb(mkb, CapabilityChange::DeleteRelation("R1")).value().mkb;
+    const CvsResult result =
+        SynchronizeDeleteRelation(view, "R1", SyncContext{mkb, prime})
+            .value();
+    EXPECT_TRUE(result.ViewPreserved());
+    EXPECT_EQ(result.rewritings.size(), 1u);
+  }
+}
+
+// The search-bound ablation: with the cover at distance 4 on a 24-chain,
+// the view is lost at max_extra_relations 0 and 1 and preserved from 2 on.
+TEST(ChainScalingTest, SearchBoundPreservesFromTwoExtraRelations) {
+  ChainMkbSpec spec;
+  spec.length = 24;
+  spec.skip_edges = true;
+  spec.cover_distance = 4;
+  const Mkb mkb = MakeChainMkb(spec).value();
+  const ViewDefinition view = MakeChainView(mkb, 0, 2).value();
+  const Mkb prime =
+      EvolveMkb(mkb, CapabilityChange::DeleteRelation("R1")).value().mkb;
+  for (size_t bound = 0; bound <= 6; ++bound) {
+    CvsOptions options;
+    options.replacement.max_extra_relations = bound;
+    const CvsResult result =
+        SynchronizeDeleteRelation(view, "R1", SyncContext{mkb, prime},
+                                  options)
+            .value();
+    EXPECT_EQ(result.ViewPreserved(), bound >= 2) << "bound " << bound;
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "cvs/r_replacement.h"
 #include "hypergraph/join_graph.h"
 #include "mkb/evolution.h"
+#include "support/r_replacement_oracle.h"
 #include "workload/generator.h"
 
 namespace eve {
@@ -155,7 +156,8 @@ class CoverFanTest : public ::testing::Test {
 
 TEST_F(CoverFanTest, CandidateCostsIncreaseWithCoverDistance) {
   const CvsResult result =
-      SynchronizeDeleteRelation(view_, "R0", mkb_, mkb_prime_, WideOptions())
+      SynchronizeDeleteRelation(view_, "R0", SyncContext{mkb_, mkb_prime_},
+                                WideOptions())
           .value();
   // One rewriting per cover distance, each strictly wider than the last.
   ASSERT_GE(result.rewritings.size(), 8u);
@@ -170,14 +172,16 @@ TEST_F(CoverFanTest, CandidateCostsIncreaseWithCoverDistance) {
 
 TEST_F(CoverFanTest, TopKPrefixMatchesExhaustiveRun) {
   const CvsResult full =
-      SynchronizeDeleteRelation(view_, "R0", mkb_, mkb_prime_, WideOptions())
+      SynchronizeDeleteRelation(view_, "R0", SyncContext{mkb_, mkb_prime_},
+                                WideOptions())
           .value();
   ASSERT_GE(full.rewritings.size(), 4u);
 
   CvsOptions top_k = WideOptions();
   top_k.top_k = 4;
   const CvsResult pruned =
-      SynchronizeDeleteRelation(view_, "R0", mkb_, mkb_prime_, top_k)
+      SynchronizeDeleteRelation(view_, "R0", SyncContext{mkb_, mkb_prime_},
+                                top_k)
           .value();
   ASSERT_EQ(pruned.rewritings.size(), 4u);
   for (size_t i = 0; i < 4; ++i) {
@@ -193,9 +197,49 @@ TEST_F(CoverFanTest, TopKPrefixMatchesExhaustiveRun) {
             full.enumeration.candidates_yielded);
 }
 
+// The top-k contract over the whole cover-fan sweep: at 4, 8, 12 and 16
+// covers, with caps wide enough that nothing truncates, a run with
+// top_k = 1, 4 or 8 returns exactly the first min(k, n) rewritings of the
+// exhaustive run, byte for byte.
+TEST(TopKSweep, PrefixOfExhaustiveRunAtEverySweepPoint) {
+  for (const size_t covers : {4u, 8u, 12u, 16u}) {
+    CoverFanMkbSpec spec;
+    spec.num_covers = covers;
+    const Mkb mkb = MakeCoverFanMkb(spec).MoveValue();
+    const ViewDefinition view = MakeCoverFanView(mkb).MoveValue();
+    const Mkb mkb_prime =
+        EvolveMkb(mkb, CapabilityChange::DeleteRelation("R0")).MoveValue().mkb;
+    CvsOptions options;
+    options.replacement.max_results = 1000000;
+    options.replacement.max_cover_combinations = 1000000;
+    options.replacement.max_extra_relations = covers;
+    const CvsResult full =
+        SynchronizeDeleteRelation(view, "R0", SyncContext{mkb, mkb_prime},
+                                  options)
+            .value();
+    for (const size_t k : {1u, 4u, 8u}) {
+      SCOPED_TRACE("covers " + std::to_string(covers) + ", k " +
+                   std::to_string(k));
+      options.top_k = k;
+      const CvsResult pruned =
+          SynchronizeDeleteRelation(view, "R0", SyncContext{mkb, mkb_prime},
+                                    options)
+              .value();
+      const size_t expect = std::min(k, full.rewritings.size());
+      ASSERT_EQ(pruned.rewritings.size(), expect);
+      for (size_t i = 0; i < expect; ++i) {
+        EXPECT_EQ(pruned.rewritings[i].view.ToString(),
+                  full.rewritings[i].view.ToString())
+            << "rank " << i;
+      }
+    }
+  }
+}
+
 TEST_F(CoverFanTest, LowerBoundsAreAdmissible) {
   const CvsResult result =
-      SynchronizeDeleteRelation(view_, "R0", mkb_, mkb_prime_, WideOptions())
+      SynchronizeDeleteRelation(view_, "R0", SyncContext{mkb_, mkb_prime_},
+                                WideOptions())
           .value();
   for (const SynchronizedView& rewriting : result.rewritings) {
     if (rewriting.is_drop) continue;
@@ -211,7 +255,8 @@ TEST_F(CoverFanTest, BudgetedRunReturnsPrefixOfUnbudgetedTopK) {
   // answer, not an arbitrary subset — and must overshoot the budget by at
   // most the one refused step.
   const CvsResult full =
-      SynchronizeDeleteRelation(view_, "R0", mkb_, mkb_prime_, WideOptions())
+      SynchronizeDeleteRelation(view_, "R0", SyncContext{mkb_, mkb_prime_},
+                                WideOptions())
           .value();
   ASSERT_GE(full.rewritings.size(), 8u);
   for (const uint64_t budget :
@@ -219,7 +264,8 @@ TEST_F(CoverFanTest, BudgetedRunReturnsPrefixOfUnbudgetedTopK) {
     CvsOptions options = WideOptions();
     options.replacement.token = DeadlineToken::Root({budget, 0});
     const CvsResult partial =
-        SynchronizeDeleteRelation(view_, "R0", mkb_, mkb_prime_, options)
+        SynchronizeDeleteRelation(view_, "R0", SyncContext{mkb_, mkb_prime_},
+                                  options)
             .value();
     ASSERT_LE(partial.rewritings.size(), full.rewritings.size())
         << "budget " << budget;
@@ -245,7 +291,8 @@ TEST_F(CoverFanTest, CandidateBudgetReportsTruncation) {
   CvsOptions options = WideOptions();
   options.candidate_budget = 2;
   const CvsResult result =
-      SynchronizeDeleteRelation(view_, "R0", mkb_, mkb_prime_, options)
+      SynchronizeDeleteRelation(view_, "R0", SyncContext{mkb_, mkb_prime_},
+                                options)
           .value();
   EXPECT_LE(result.enumeration.candidates_yielded, 2u);
   EXPECT_FALSE(result.enumeration.exhausted);
@@ -262,7 +309,8 @@ TEST_F(CoverFanTest, ComboTruncationIsDiagnosed) {
   CvsOptions options = WideOptions();
   options.replacement.max_cover_combinations = 1;
   const CvsResult result =
-      SynchronizeDeleteRelation(view_, "R0", mkb_, mkb_prime_, options)
+      SynchronizeDeleteRelation(view_, "R0", SyncContext{mkb_, mkb_prime_},
+                                options)
           .value();
   EXPECT_GT(result.enumeration.combos_truncated, 0u);
   const bool noted = std::any_of(
@@ -287,7 +335,8 @@ TEST(DeepSearchShape, TwelveCoverSixDetourFanIsPinned) {
   const Mkb mkb_prime =
       EvolveMkb(mkb, CapabilityChange::DeleteRelation("R0")).MoveValue().mkb;
   const CvsResult result =
-      SynchronizeDeleteRelation(view, "R0", mkb, mkb_prime, CvsOptions{})
+      SynchronizeDeleteRelation(view, "R0", SyncContext{mkb, mkb_prime},
+                                CvsOptions{})
           .value();
   EXPECT_EQ(result.enumeration.ToString(),
             "combos 12, trees expanded 1620 (1074 sets cut), yielded 32, "

@@ -16,9 +16,12 @@
 
 #include "algebra/executor.h"
 #include "cvs/extent.h"
+#include "esql/binder.h"
+#include "esql/evaluator.h"
 #include "eve/materialization.h"
 #include "storage/database.h"
 #include "workload/generator.h"
+#include "workload/travel_agency.h"
 
 namespace eve {
 namespace {
@@ -394,6 +397,76 @@ TEST(IncrementalRefreshTest, InapplicableRuleFallsBackToFull) {
   ASSERT_TRUE(full.Refresh(new_view, db, catalog).ok());
   ExpectTablesIdentical(*store.Extent("v").value(), *full.Extent("v").value(),
                         "inapplicable");
+}
+
+// E10 (EXPERIMENTS.md): the paper's Eq. (5) view over 200 generated
+// customers evaluates to the same set under both strategies.
+TEST(ExecutorEquivalenceTest, PaperViewAgreesAcrossStrategies) {
+  const Mkb mkb = MakeTravelAgencyMkb().value();
+  const ViewDefinition view =
+      ParseAndBindView(CustomerPassengersAsiaSql(), mkb.catalog()).value();
+  Database db;
+  ASSERT_TRUE(PopulateTravelAgencyDatabase(mkb, &db, 200, 5).ok());
+  const Result<Table> nested = EvaluateView(view, db, mkb.catalog(), nullptr,
+                                            JoinStrategy::kNestedLoop);
+  ASSERT_TRUE(nested.ok()) << nested.status();
+  const Result<Table> vectorized = EvaluateView(
+      view, db, mkb.catalog(), nullptr, JoinStrategy::kVectorized);
+  ASSERT_TRUE(vectorized.ok()) << vectorized.status();
+  EXPECT_GT(nested.value().NumRows(), 0u);
+  EXPECT_TRUE(vectorized.value().SetEquals(nested.value()));
+}
+
+// The executor-scale shape: a two-relation chain join R0 ⋈ R1 over skewed
+// data (90% of R0's join keys hot, payloads from a skewed 10^6 domain).
+// The vectorized join matches the nested-loop oracle, and an Equal-verdict
+// IncrementalRefresh reuses the extent and matches a full refresh.
+TEST(ExecutorEquivalenceTest, SkewedChainJoinAgreesAndEqualReusesExtent) {
+  ChainMkbSpec spec;
+  spec.length = 2;
+  spec.skip_edges = false;
+  spec.cover_distance = 0;
+  spec.extra_attributes = 0;
+  spec.pc_constraints = false;
+  const Mkb mkb = MakeChainMkb(spec).value();
+  SkewedDataSpec fact;
+  fact.rows = 4096;
+  fact.value_domain = 1000000;
+  fact.value_skew = 0.5;
+  fact.join_domain = 1024;
+  fact.join_selectivity = 0.9;
+  fact.seed = 7;
+  SkewedDataSpec dim = fact;
+  dim.rows = 1024;
+  dim.value_skew = 0.0;
+  dim.join_selectivity = 1.0;
+  dim.seed = 8;
+  Database db;
+  ASSERT_TRUE(PopulateRelationSkewed(mkb.catalog(), "R0", fact, &db).ok());
+  ASSERT_TRUE(PopulateRelationSkewed(mkb.catalog(), "R1", dim, &db).ok());
+  ViewDefinition view = MakeChainView(mkb, 0, 2).value();
+  view.set_name("V");
+
+  const Result<Table> nested = EvaluateView(view, db, mkb.catalog(), nullptr,
+                                            JoinStrategy::kNestedLoop);
+  ASSERT_TRUE(nested.ok()) << nested.status();
+  const Result<Table> vectorized = EvaluateView(
+      view, db, mkb.catalog(), nullptr, JoinStrategy::kVectorized);
+  ASSERT_TRUE(vectorized.ok()) << vectorized.status();
+  EXPECT_GT(nested.value().NumRows(), 0u);
+  EXPECT_TRUE(vectorized.value().SetEquals(nested.value()));
+
+  MaterializedViewStore store;
+  ASSERT_TRUE(store.Refresh(view, db, mkb.catalog()).ok());
+  ASSERT_TRUE(store
+                  .IncrementalRefresh(view, view, ExtentRelation::kEqual, db,
+                                      mkb.catalog())
+                  .ok());
+  EXPECT_EQ(store.StatsFor("V").last_path, RefreshPath::kReuseEqual);
+  MaterializedViewStore full;
+  ASSERT_TRUE(full.Refresh(view, db, mkb.catalog()).ok());
+  EXPECT_TRUE(
+      store.Extent("V").value()->SetEquals(*full.Extent("V").value()));
 }
 
 // The skewed workload generator is deterministic and honors its knobs.

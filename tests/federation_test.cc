@@ -487,6 +487,66 @@ TEST_F(FederationTest, HarshRandomizedSchedulesStillConverge) {
       << "the harsh schedule should actually expire leases";
 }
 
+// The fault regimes of the federation overhead measurement: seed 7, a
+// 400-tick schedule with two changes, faults at 0%, 5% and 20% per tick
+// that heal within the lease. Every regime converges without violations.
+TEST_F(FederationTest, FaultRegimesConvergeAtSeedSeven) {
+  for (const double fault_rate : {0.0, 0.05, 0.20}) {
+    SCOPED_TRACE(fault_rate);
+    EveSystem system(MakeMkbWithPc());
+    ASSERT_TRUE(system.RegisterViewText(CustomerPassengersAsiaSql()).ok());
+    SimOptions options;
+    options.ticks = 400;
+    options.seed = 7;
+    options.fault_rate = fault_rate;
+    options.heal_within_lease = true;
+    FederationSimulator sim(&system, options);
+    sim.RandomizeFaults();
+    sim.ScheduleChange(60, CapabilityChange::DeleteRelation("RentACar"));
+    sim.ScheduleChange(120, CapabilityChange::DeleteRelation("Customer"));
+    const Result<SimResult> result = sim.Run();
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_TRUE(result->violations.empty()) << result->violations.front();
+  }
+}
+
+// Every source flaps for the whole 400-tick run: the successful half keeps
+// each lease alive, so the schedule converges and no source departs.
+TEST_F(FederationTest, EverySourceFlappingConvergesWithoutDepartures) {
+  EveSystem system(MakeMkbWithPc());
+  ASSERT_TRUE(system.RegisterViewText(CustomerPassengersAsiaSql()).ok());
+  SimOptions options;
+  options.ticks = 400;
+  FederationSimulator sim(&system, options);
+  for (const std::string& source : system.mkb().catalog().SourceNames()) {
+    sim.ScheduleFault(source,
+                      {1, 400, SimulatedTransport::FaultKind::kFlap});
+  }
+  const Result<SimResult> result = sim.Run();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->violations.empty()) << result->violations.front();
+  EXPECT_EQ(result->stats.departures, 0u);
+  EXPECT_GT(result->stats.failures, 0u);
+}
+
+// A 256-source synthetic fleet (one relation each, no views, no faults) is
+// tracked and ticked for 100 ticks without error.
+TEST_F(FederationTest, LargeHealthyFleetTicksCleanly) {
+  std::string misd;
+  for (int i = 0; i < 256; ++i) {
+    misd += "SOURCE S" + std::to_string(i) + " RELATION R" +
+            std::to_string(i) + " (Name string, X int)\n";
+  }
+  EveSystem system{Mkb()};
+  ASSERT_TRUE(system.ExtendMkb(misd).ok());
+  SimulatedTransport transport;
+  FederationMonitor monitor(&system, &transport);
+  ASSERT_TRUE(monitor.TrackSources().ok());
+  ASSERT_TRUE(monitor.AdvanceTo(100).ok());
+  EXPECT_GT(monitor.stats().probes, 0u);
+  EXPECT_EQ(monitor.stats().failures, 0u);
+}
+
 TEST_F(FederationTest, MonitorResultsAreIdenticalAtAnyParallelism) {
   const auto run = [](size_t parallelism) {
     EveSystem system(MakeMkbWithPc());

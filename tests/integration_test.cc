@@ -131,7 +131,8 @@ TEST(IntegrationTest, SurvivalMatrixUnderEveryRelationDeletion) {
     const auto evolution =
         EvolveMkb(mkb, CapabilityChange::DeleteRelation(relation)).value();
     const CvsResult result =
-        SynchronizeDeleteRelation(view, relation, mkb, evolution.mkb)
+        SynchronizeDeleteRelation(view, relation,
+                                  SyncContext{mkb, evolution.mkb})
             .value();
     EXPECT_EQ(result.ViewPreserved(), expect_preserved)
         << relation << ": " << result.diagnostics.size()
@@ -186,7 +187,8 @@ TEST(IntegrationTest, QuickstartScenarioEndToEnd) {
   const auto evolution =
       EvolveMkb(mkb, CapabilityChange::DeleteRelation("Customer")).value();
   const CvsResult result =
-      SynchronizeDeleteRelation(view, "Customer", mkb, evolution.mkb)
+      SynchronizeDeleteRelation(view, "Customer",
+                                SyncContext{mkb, evolution.mkb})
           .value();
   ASSERT_EQ(result.rewritings.size(), 2u);
 

@@ -4,6 +4,7 @@
 
 #include "mkb/builder.h"
 #include "mkb/evolution.h"
+#include "workload/generator.h"
 #include "workload/travel_agency.h"
 
 namespace eve {
@@ -161,6 +162,41 @@ TEST_F(EvolutionTest, OriginalMkbIsUntouched) {
   (void)report;
   EXPECT_TRUE(mkb_.catalog().HasRelation("Customer"));
   EXPECT_EQ(mkb_.join_constraints().size(), 6u);
+}
+
+// E9 (EXPERIMENTS.md): all six capability-change operators complete on a
+// 200-relation skip-edge chain MKB. Deleting attribute P100 drops the two
+// constraints over it; deleting R100 drops the eight that touch R100.
+TEST(EvolutionScaleTest, AllSixOperatorsOnA200RelationChain) {
+  ChainMkbSpec spec;
+  spec.length = 200;
+  spec.skip_edges = true;
+  spec.cover_distance = 2;
+  const Mkb mkb = MakeChainMkb(spec).value();
+  RelationDef fresh;
+  fresh.source = "ISX";
+  fresh.name = "Fresh";
+  fresh.schema = Schema({{"f", DataType::kInt}});
+  struct Case {
+    CapabilityChange change;
+    size_t dropped;
+  };
+  const Case cases[] = {
+      {CapabilityChange::AddRelation(fresh), 0},
+      {CapabilityChange::AddAttribute("R100", {"Extra", DataType::kInt}), 0},
+      {CapabilityChange::RenameRelation("R100", "R100x"), 0},
+      {CapabilityChange::RenameAttribute("R100", "P100", "P100x"), 0},
+      {CapabilityChange::DeleteAttribute("R100", "P100"), 2},
+      {CapabilityChange::DeleteRelation("R100"), 8},
+  };
+  for (const Case& c : cases) {
+    const Result<MkbEvolutionReport> report = EvolveMkb(mkb, c.change);
+    ASSERT_TRUE(report.ok()) << c.change.ToString() << ": " << report.status();
+    EXPECT_EQ(report.value().dropped_constraints.size(), c.dropped)
+        << c.change.ToString();
+    EXPECT_TRUE(report.value().weakened_constraints.empty())
+        << c.change.ToString();
+  }
 }
 
 TEST(CapabilityChangeTest, ToStringForms) {

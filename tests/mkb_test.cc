@@ -192,8 +192,8 @@ TEST_F(MkbTest, RetractedCoverNoLongerPreservesViews) {
       EvolveMkb(travel, CapabilityChange::DeleteRelation("Customer"))
           .value();
   const CvsResult result =
-      SynchronizeDeleteRelation(view.value(), "Customer", travel,
-                                evolution.mkb)
+      SynchronizeDeleteRelation(view.value(), "Customer",
+                                SyncContext{travel, evolution.mkb})
           .value();
   EXPECT_TRUE(result.rewritings.empty());
 }

@@ -289,7 +289,7 @@ TEST_F(DegenerateOptionsTest, ZeroBudgetsMeanNoRewritingsNotCrashes) {
   options.replacement.max_results = 0;
   options.replacement.max_cover_combinations = 0;
   const Result<CvsResult> result = SynchronizeDeleteRelation(
-      view_, "Customer", mkb_, mkb_prime_, options);
+      view_, "Customer", SyncContext{mkb_, mkb_prime_}, options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().rewritings.empty());
 }
@@ -300,7 +300,7 @@ TEST_F(DegenerateOptionsTest, HugeBudgetsTerminate) {
   options.replacement.max_cover_combinations = 10000;
   options.replacement.max_extra_relations = 10;
   const Result<CvsResult> result = SynchronizeDeleteRelation(
-      view_, "Customer", mkb_, mkb_prime_, options);
+      view_, "Customer", SyncContext{mkb_, mkb_prime_}, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().rewritings.size(), 2u);  // still just two
 }
@@ -309,7 +309,7 @@ TEST_F(DegenerateOptionsTest, EmptySuffixStillNamesViews) {
   CvsOptions options;
   options.rename_suffix = "";
   const Result<CvsResult> result = SynchronizeDeleteRelation(
-      view_, "Customer", mkb_, mkb_prime_, options);
+      view_, "Customer", SyncContext{mkb_, mkb_prime_}, options);
   ASSERT_TRUE(result.ok());
   for (const SynchronizedView& rewriting : result.value().rewritings) {
     EXPECT_FALSE(rewriting.view.name().empty());
@@ -324,7 +324,7 @@ TEST_F(DegenerateOptionsTest, StaleMkbPrimeRejectedByLegality) {
   // catalog — which still has Customer, so the rewriting is fine; what
   // must NOT happen is a crash. Verify the call succeeds gracefully.
   const Result<CvsResult> result =
-      SynchronizeDeleteRelation(view_, "Customer", mkb_, mkb_);
+      SynchronizeDeleteRelation(view_, "Customer", SyncContext{mkb_, mkb_});
   ASSERT_TRUE(result.ok());
 }
 
@@ -335,17 +335,17 @@ TEST_F(DegenerateOptionsTest, ViewOverForeignMkbFails) {
   const Mkb chain = MakeChainMkb(spec).value();
   const ViewDefinition foreign = MakeChainView(chain, 0, 2).value();
   const Result<CvsResult> result =
-      SynchronizeDeleteRelation(foreign, "R0", mkb_, mkb_prime_);
+      SynchronizeDeleteRelation(foreign, "R0", SyncContext{mkb_, mkb_prime_});
   EXPECT_FALSE(result.ok());
 }
 
 TEST_F(DegenerateOptionsTest, SynchronizeUnusedAttributeIsNoOp) {
-  const Result<CvsResult> result = SynchronizeDeleteAttribute(
-      view_, "Tour", "TourName", mkb_,
+  const Mkb prime =
       EvolveMkb(mkb_, CapabilityChange::DeleteAttribute("Tour", "TourName"))
           .MoveValue()
-          .mkb,
-      {});
+          .mkb;
+  const Result<CvsResult> result = SynchronizeDeleteAttribute(
+      view_, "Tour", "TourName", SyncContext{mkb_, prime}, {});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().rewritings.size(), 1u);
   EXPECT_EQ(result.value().rewritings[0].view.name(), view_.name());
